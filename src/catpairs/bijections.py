@@ -278,11 +278,15 @@ def family(tag: str) -> Family:
 
 @lru_cache(maxsize=None)
 def _decode_table(tag: str, n: int) -> dict[tuple, object]:
+    """Canonical S rows -> the *tag* value of size *n* that encodes to them.
+
+    S alone is the key: on a canonical pair, for i < j exactly one of
+    i R j and j S i holds, so S fixes R.
+    """
     fam = FAMILIES[tag]
     table: dict[tuple, object] = {}
     for value in fam.enumerate(n):
-        canon = canonicalize(fam.encode(value))
-        key = (canon.S.rows, canon.R.rows)
+        key = canonicalize(fam.encode(value)).S.rows
         if key in table:
             raise InvariantViolation(
                 f"{tag} encoder maps two size-{n} values to the same pair"
@@ -302,10 +306,9 @@ def reference_decode(
         )
     canon = canonicalize(pair)
     table = _decode_table(fam.tag, pair.n)
-    key = (canon.S.rows, canon.R.rows)
-    if key not in table:
+    if canon.S.rows not in table:
         raise InvariantViolation(f"no {fam.tag} value of size {pair.n} encodes this pair")
-    return table[key]
+    return table[canon.S.rows]
 
 
 def decode_pair(

@@ -20,7 +20,7 @@ construction instead.
 from __future__ import annotations
 
 from . import trees
-from .relations import CatalanPair, compose_pair
+from .relations import CatalanPair, Relation, compose_pair
 from .structures import (
     Matching,
     Permutation,
@@ -144,13 +144,30 @@ def encode_perm_312(p: Permutation) -> CatalanPair:
     exactly when p avoids 312, which is a tested equivalence.
     """
     _require(validate_perm(p))
-    n = len(p)
-    s_pairs = []
-    r_pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            (s_pairs if p[i] > p[j] else r_pairs).append((i, j))
-    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+    return _inversion_pair(p)
+
+
+def _inversion_pair(keys: Permutation) -> CatalanPair:
+    """S = position pairs i < j with keys[i] > keys[j], R = the other i < j.
+
+    *keys* must be a permutation of 1..n.  Row i of S is the set of later
+    positions holding a smaller key, read off a prefix mask over key values.
+    """
+    n = len(keys)
+    bit_of_key = [0] * (n + 1)
+    for i, key in enumerate(keys):
+        bit_of_key[key] = 1 << i
+    below = [0] * (n + 1)  # below[k]: positions holding a key smaller than k
+    for k in range(1, n + 1):
+        below[k] = below[k - 1] | bit_of_key[k - 1]
+    everything = (1 << n) - 1
+    s_rows = []
+    r_rows = []
+    for i, key in enumerate(keys):
+        later = everything & ~((2 << i) - 1)
+        s_rows.append(below[key] & later)
+        r_rows.append(later & ~below[key])
+    return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
 
 
 def perm_points(p: Permutation) -> tuple[tuple[int, int], ...]:
@@ -232,14 +249,7 @@ def encode_perm_321(p: Permutation) -> CatalanPair:
     _require(validate_perm(p))
     if not avoids(p, "321"):
         raise ValueError("permutation contains the pattern 321")
-    matched = profile_matching(p)
-    n = len(p)
-    s_pairs = []
-    r_pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            (s_pairs if matched[i] > matched[j] else r_pairs).append((i, j))
-    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+    return _inversion_pair(profile_matching(p))
 
 
 def encode_seq1(s: Sequence) -> CatalanPair:
@@ -317,11 +327,13 @@ def pair_for_avoidance_class(p: Permutation, pattern: str) -> CatalanPair:
     """Encoder for any of the six one-pattern avoidance classes.
 
     The four classes without their own construction ride on the 312 and
-    321 encoders through reverse/inverse symmetries.
+    321 constructions through reverse/inverse symmetries.  The class check
+    runs once, here: the symmetries carry members onto members of the base
+    class, so the base construction needs no second check.
     """
     _require(validate_perm(p))
     steps, base = pattern_transform(pattern)
     if not avoids(p, pattern):
         raise ValueError(f"permutation contains the pattern {pattern}")
     q = apply_steps(p, steps)
-    return encode_perm_312(q) if base == "312" else encode_perm_321(q)
+    return _inversion_pair(q if base == "312" else profile_matching(q))

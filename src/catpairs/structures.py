@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import combinations
+from math import inf
+from typing import Iterable
 
 from . import trees
 from .errors import ParseError
@@ -223,20 +225,68 @@ def serialize_perm(p: Permutation) -> str:
     return " ".join(str(v) for v in p)
 
 
-def avoids(p: Permutation, pattern: str) -> bool:
-    """True if no three entries of *p* appear in *pattern*'s relative order."""
-    if pattern not in PATTERNS:
-        raise ValueError(f"unsupported pattern {pattern!r}")
-    shape = tuple(int(c) for c in pattern)
-    n = len(p)
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                triple = (p[i], p[j], p[k])
-                ranks = tuple(sorted(triple).index(v) + 1 for v in triple)
-                if ranks == shape:
-                    return False
+def _avoids_231(seq: Iterable[int]) -> bool:
+    """Stack-sort *seq*: it avoids 231 exactly when the output increases.
+
+    Popped values only grow while no occurrence has shown up, so the
+    output fails to increase exactly when an entry arrives below the last
+    value popped: that value, the larger entry that popped it and the new
+    entry form a 231.
+    """
+    stack: list[int] = []
+    popped = -inf
+    for x in seq:
+        if x < popped:
+            return False
+        while stack and stack[-1] < x:
+            popped = stack.pop()
+        stack.append(x)
     return True
+
+
+def _avoids_321(seq: Iterable[int]) -> bool:
+    """The entries below the running maximum must increase."""
+    top = below = -inf
+    for x in seq:
+        if x > top:
+            top = x
+        elif x < below:
+            return False
+        else:
+            below = x
+    return True
+
+
+# pattern -> (read right to left, negate values, base test); both maps
+# preserve comparisons, so no value -> position inverse is needed
+_REDUCTIONS = {
+    "231": (False, False, _avoids_231),
+    "132": (True, False, _avoids_231),
+    "213": (False, True, _avoids_231),
+    "312": (True, True, _avoids_231),
+    "321": (False, False, _avoids_321),
+    "123": (True, False, _avoids_321),
+}
+
+
+def avoids(p: Permutation, pattern: str) -> bool:
+    """True if no three entries of *p* appear in *pattern*'s relative order.
+
+    Runs in O(n) for any sequence of distinct values.  A sequence avoids
+    231 exactly when it is stack-sortable (Knuth, TAOCP Vol. 1 §2.2.1),
+    and avoids 321 exactly when its entries below the running maximum
+    increase.  The other four patterns reduce to these two by reversal
+    and complement (Simion–Schmidt symmetries), with negation as the
+    complement: 132 reverses to 231, 213 complements to 231, 312 does
+    both, and 123 reverses to 321.
+    """
+    if pattern not in _REDUCTIONS:
+        raise ValueError(f"unsupported pattern {pattern!r}")
+    reverse, negate, base = _REDUCTIONS[pattern]
+    seq: Iterable[int] = reversed(p) if reverse else p
+    if negate:
+        seq = (-x for x in seq)
+    return base(seq)
 
 
 def inverse_perm(p: Permutation) -> Permutation:

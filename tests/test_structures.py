@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations, permutations, product
 
 import pytest
 
-from catpairs import ParseError, trees
+from catpairs import ParseError, catalan, trees
+from catpairs.bijections import assemble_perm_312
 from catpairs.structures import (
     PATTERNS,
     avoids,
@@ -227,9 +229,84 @@ def test_perm_text_round_trip():
 
 def test_avoids_agrees_with_brute_force_containment():
     for pattern in PATTERNS:
-        for n in range(6):
+        for n in range(8):
             for p in permutations(range(1, n + 1)):
                 assert avoids(p, pattern) == (not contains_pattern(p, pattern))
+
+
+def test_avoids_rejects_unknown_pattern():
+    with pytest.raises(ValueError, match="unsupported pattern"):
+        avoids((1, 2, 3), "111")
+
+
+def random_tree(rng, n):
+    """A uniform binary tree with n nodes, by the cycle lemma.
+
+    Of the 2n + 1 rotations of a shuffle of n up and n + 1 down steps,
+    exactly one (the one after the first lowest point) stays nonnegative
+    until its last step; dropping that step leaves a Dyck word.
+    """
+    steps = ["U"] * n + ["D"] * (n + 1)
+    rng.shuffle(steps)
+    height = lowest = cut = 0
+    for pos, step in enumerate(steps, start=1):
+        height += 1 if step == "U" else -1
+        if height < lowest:
+            lowest, cut = height, pos
+    word = "".join(steps[cut:] + steps[:cut])
+    return trees.from_dyck_word(word[:-1])
+
+
+def random_321_avoider(rng, n):
+    """Two increasing runs of values shuffled together: never 321."""
+    values = list(range(1, n + 1))
+    rng.shuffle(values)
+    split = rng.randint(0, n)
+    runs = [sorted(values[:split]), sorted(values[split:])]
+    slots = [0] * split + [1] * (n - split)
+    rng.shuffle(slots)
+    heads = [iter(runs[0]), iter(runs[1])]
+    return tuple(next(heads[slot]) for slot in slots)
+
+
+def random_avoider(rng, n, pattern):
+    steps, base = pattern_transform(pattern)
+    if base == "312":
+        p = assemble_perm_312(random_tree(rng, n))
+    else:
+        p = random_321_avoider(rng, n)
+    # inv and rev are involutions, so undoing a chain applies it backwards
+    return apply_steps(p, tuple(reversed(steps)))
+
+
+def plant(p, positions, pattern):
+    """Rewrite three positions of p into pattern's order."""
+    positions = sorted(positions)
+    values = sorted(p[i] for i in positions)
+    q = list(p)
+    for i, digit in zip(positions, pattern):
+        q[i] = values[int(digit) - 1]
+    return tuple(q)
+
+
+@pytest.mark.parametrize("n", [100, 500, 2000])
+def test_avoids_on_large_random_members_and_planted_occurrences(n):
+    rng = random.Random(f"avoids:{n}")
+    for pattern in PATTERNS:
+        for _ in range(5):
+            p = random_avoider(rng, n, pattern)
+            assert validate_perm(p) is None
+            assert avoids(p, pattern), pattern
+            low = rng.randrange(1, n - 1)
+            # anywhere, on three consecutive values, and at the end
+            for positions in (
+                rng.sample(range(n), 3),
+                [p.index(v) for v in (low, low + 1, low + 2)],
+                [n - 3, n - 2, n - 1],
+            ):
+                q = plant(p, positions, pattern)
+                assert validate_perm(q) is None
+                assert not avoids(q, pattern), (pattern, positions)
 
 
 def test_avoids_worked_examples():
@@ -239,7 +316,7 @@ def test_avoids_worked_examples():
 
 def test_enumerate_perm_matches_filter():
     for pattern in PATTERNS:
-        for n in range(6):
+        for n in range(9):
             brute = {
                 p
                 for p in permutations(range(1, n + 1))
@@ -247,7 +324,7 @@ def test_enumerate_perm_matches_filter():
             }
             listed = enumerate_perm(n, pattern)
             assert set(listed) == brute
-            assert len(listed) == CATALAN[n]
+            assert len(listed) == catalan(n)
 
 
 def test_enumerate_perm_unknown_pattern():
