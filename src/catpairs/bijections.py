@@ -70,10 +70,12 @@ def assemble_matching(t: trees.Tree) -> structures.Matching:
     inner = assemble_matching(t[0])
     after = assemble_matching(t[1])
     shift = 2 * len(inner) + 2
-    return (
-        ((1, shift),)
-        + tuple((l + 1, r + 1) for l, r in inner)
-        + tuple((l + shift, r + shift) for l, r in after)
+    # lists, not generators: tuple(<genexpr>) over-allocates and resizes,
+    # which slowly fills CPython's per-size tuple freelists
+    return tuple(
+        [(1, shift)]
+        + [(l + 1, r + 1) for l, r in inner]
+        + [(l + shift, r + shift) for l, r in after]
     )
 
 
@@ -91,9 +93,7 @@ def assemble_perm_312(t: trees.Tree) -> structures.Permutation:
     left = assemble_perm_312(t[0])
     right = assemble_perm_312(t[1])
     k = len(left)
-    return (
-        tuple(v + 1 for v in left) + (1,) + tuple(v + k + 1 for v in right)
-    )
+    return tuple([v + 1 for v in left] + [1] + [v + k + 1 for v in right])
 
 
 def assemble_seq1(t: trees.Tree) -> structures.Sequence:
@@ -103,7 +103,7 @@ def assemble_seq1(t: trees.Tree) -> structures.Sequence:
     left = assemble_seq1(t[0])
     right = assemble_seq1(t[1])
     k = len(left)
-    return (k + 1,) + tuple(v + 1 for v in left) + tuple(v + k + 1 for v in right)
+    return tuple([k + 1] + [v + 1 for v in left] + [v + k + 1 for v in right])
 
 
 def assemble_staircase(t: trees.Tree) -> structures.Staircase:

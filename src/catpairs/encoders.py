@@ -20,7 +20,7 @@ construction instead.
 from __future__ import annotations
 
 from . import trees
-from .relations import CatalanPair, Relation, compose_pair
+from .relations import CatalanPair, Relation, _join
 from .structures import (
     Matching,
     Permutation,
@@ -99,14 +99,13 @@ def encode_dyck(word: str) -> CatalanPair:
 def _node_paths(t: PlaneTree) -> list[tuple[int, ...]]:
     """Child-index paths of all non-root nodes, in preorder."""
     paths: list[tuple[int, ...]] = []
-
-    def walk(subtree: PlaneTree, prefix: tuple[int, ...]) -> None:
-        for index, child in enumerate(subtree):
-            path = prefix + (index,)
-            paths.append(path)
-            walk(child, path)
-
-    walk(t, ())
+    stack = [((), t)]
+    while stack:
+        prefix, subtree = stack.pop()
+        if prefix:
+            paths.append(prefix)
+        for index in range(len(subtree) - 1, -1, -1):
+            stack.append((prefix + (index,), subtree[index]))
     return paths
 
 
@@ -310,7 +309,9 @@ def encode_staircase(t: Staircase) -> CatalanPair:
 
     The junction rectangle is S-dominated by the upper part and
     R-precedes the lower part, so the upper subtree takes the left slot
-    of the composition and the lower subtree the right slot.
+    of the composition and the lower subtree the right slot.  The value
+    is checked once, here; the fold joins pairs it built itself, so it
+    uses the unchecked join rather than ``compose_pair``.
     """
     _require(validate_staircase(t))
     return _staircase(t)
@@ -320,7 +321,7 @@ def _staircase(t: Staircase) -> CatalanPair:
     if t == trees.EMPTY:
         return CatalanPair.empty(0)
     lower, upper = t
-    return compose_pair(_staircase(upper), _staircase(lower))
+    return _join(_staircase(upper), _staircase(lower))
 
 
 def pair_for_avoidance_class(p: Permutation, pattern: str) -> CatalanPair:

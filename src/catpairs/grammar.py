@@ -23,22 +23,71 @@ from functools import lru_cache
 
 from . import trees
 from .errors import ParseError
-from .relations import CatalanPair, Relation, compose_pair, decompose_pair
+from .relations import CatalanPair, Relation, _join, bits, decompose_pair
 
 
 def tree_to_pair(t: trees.Tree) -> CatalanPair:
-    """Fold a binary tree into a pair: each node composes its subtrees."""
+    """Fold a binary tree into a pair: each node composes its subtrees.
+
+    The fold joins pairs it built itself, which are valid, so it uses the
+    unchecked join rather than ``compose_pair``.
+    """
     if t == trees.EMPTY:
         return CatalanPair.empty(0)
-    return compose_pair(tree_to_pair(t[0]), tree_to_pair(t[1]))
+    return _join(tree_to_pair(t[0]), tree_to_pair(t[1]))
 
 
 def pair_to_tree(pair: CatalanPair) -> trees.Tree:
-    """Recursively decompose a valid pair into its shape tree."""
+    """The shape tree of a valid pair, under any labelling.
+
+    The single check is the ``decompose_pair`` call at the root: it runs
+    the axiom check on *pair* and raises InvariantViolation with its usual
+    message if *pair* is invalid.  Its two factors are induced subpairs of
+    a valid pair and therefore valid, so their trees are read off their
+    bitsets by :func:`_valid_pair_tree` with no further check.
+    """
     if pair.n == 0:
         return trees.EMPTY
     _, left, right = decompose_pair(pair)
-    return (pair_to_tree(left), pair_to_tree(right))
+    return (_valid_pair_tree(left), _valid_pair_tree(right))
+
+
+def _valid_pair_tree(pair: CatalanPair) -> trees.Tree:
+    """Iterative tree reading of a pair that must already be valid.
+
+    The derived order (i L j iff i R j or j S i) lists the labels in
+    preorder of the tree, so a label with d L-successors sits at preorder
+    position n - 1 - d.  A label's left subtree holds exactly the labels
+    that S-precede it, so its size is the popcount of the label's
+    S-column.  Subtree sizes then follow top-down, and the tree is built
+    bottom-up in reverse preorder.  O(n + |S|) with no recursion; on an
+    invalid pair the result is meaningless.
+    """
+    n = pair.n
+    s_in = [0] * n
+    for row in pair.S.rows:
+        for j in bits(row):
+            s_in[j] += 1
+    left_size = [0] * n
+    for i, row in enumerate(pair.R.rows):
+        left_size[n - 1 - row.bit_count() - s_in[i]] = s_in[i]
+    size = [0] * (n + 1)
+    size[0] = n
+    for p in range(n):
+        a = left_size[p]
+        b = size[p] - 1 - a
+        if a:
+            size[p + 1] = a
+        if b:
+            size[p + a + 1] = b
+    nodes: list[trees.Tree] = [trees.EMPTY] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        a = left_size[p]
+        nodes[p] = (
+            nodes[p + 1] if a else trees.EMPTY,
+            nodes[p + a + 1] if size[p] - 1 - a else trees.EMPTY,
+        )
+    return nodes[0]
 
 
 def validate_grammar_tree(t: object) -> str | None:
@@ -69,27 +118,27 @@ def _grammar(t: trees.Tree) -> CatalanPair:
     right_pair = _grammar(t[1])
     k, m = left_pair.n, right_pair.n
     n = k + m + 1
+    # lists, not generators: tuple(<genexpr>) over-allocates and resizes,
+    # which slowly fills CPython's per-size tuple freelists
     if k == 0:
-        s_rows = (0,) + tuple(row << 1 for row in right_pair.S.rows)
-        r_rows = (((1 << m) - 1) << 1,) + tuple(
-            row << 1 for row in right_pair.R.rows
-        )
+        s_rows = [0] + [row << 1 for row in right_pair.S.rows]
+        r_rows = [((1 << m) - 1) << 1] + [row << 1 for row in right_pair.R.rows]
     elif m == 0:
-        s_rows = tuple(row | (1 << k) for row in left_pair.S.rows) + (0,)
-        r_rows = left_pair.R.rows + (0,)
+        s_rows = [row | (1 << k) for row in left_pair.S.rows] + [0]
+        r_rows = [*left_pair.R.rows, 0]
     else:
         block = ((1 << m) - 1) << (k + 1)
         s_rows = (
-            tuple(row | (1 << k) for row in left_pair.S.rows)
-            + (0,)
-            + tuple(row << (k + 1) for row in right_pair.S.rows)
+            [row | (1 << k) for row in left_pair.S.rows]
+            + [0]
+            + [row << (k + 1) for row in right_pair.S.rows]
         )
         r_rows = (
-            tuple(row | block for row in left_pair.R.rows)
-            + (block,)
-            + tuple(row << (k + 1) for row in right_pair.R.rows)
+            [row | block for row in left_pair.R.rows]
+            + [block]
+            + [row << (k + 1) for row in right_pair.R.rows]
         )
-    return CatalanPair(Relation(n, s_rows), Relation(n, r_rows))
+    return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
 
 
 # ---------------------------------------------------------------------------

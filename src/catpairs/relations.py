@@ -244,6 +244,16 @@ def compose_pair(left: CatalanPair, right: CatalanPair) -> CatalanPair:
     """
     _require_valid(left, "compose: left operand")
     _require_valid(right, "compose: right operand")
+    return _join(left, right)
+
+
+def _join(left: CatalanPair, right: CatalanPair) -> CatalanPair:
+    """:func:`compose_pair` without the operand checks.
+
+    Joining valid pairs gives a valid pair, so a fold that builds both
+    operands by joining (``grammar.tree_to_pair``, the staircase encoder)
+    needs no check at any node.
+    """
     k, m = left.n, right.n
     n = k + m + 1
     x = k
@@ -268,6 +278,12 @@ def decompose_pair(pair: CatalanPair) -> tuple[int, CatalanPair, CatalanPair]:
     {i : i S x} and the right factor on {j : x R j}.  A nonempty valid
     pair always has exactly one such x; anything else raises
     InvariantViolation.
+
+    This is the checked entry point: it runs the axiom check on *pair*.
+    The factors are induced subpairs of a valid pair, and the axioms are
+    statements about pairs and triples of labels, so they hold on every
+    induced subpair; callers that go on decomposing the factors need not
+    check them again (see ``grammar.pair_to_tree``).
     """
     if pair.n == 0:
         raise ValueError("cannot decompose an empty pair")
@@ -336,6 +352,13 @@ class CanonicalPair:
                 "pair is not canonical: derived order differs from 0..n-1"
             )
 
+    @classmethod
+    def _unchecked(cls, pair: CatalanPair) -> "CanonicalPair":
+        """Wrap a pair already known to be canonical, skipping the check."""
+        canon = object.__new__(cls)
+        object.__setattr__(canon, "pair", pair)
+        return canon
+
     @property
     def n(self) -> int:
         return self.pair.n
@@ -350,12 +373,19 @@ class CanonicalPair:
 
 
 def canonicalize(pair: CatalanPair) -> CanonicalPair:
-    """Relabel a valid pair so its derived total order becomes 0 < ... < n-1."""
+    """Relabel a valid pair so its derived total order becomes 0 < ... < n-1.
+
+    The one check is the ``total_order`` call, which validates *pair* and
+    raises InvariantViolation if it fails.  Relabelling a valid pair by
+    its own derived order makes that order the identity, so the result is
+    canonical by construction and skips the ``CanonicalPair`` check; a
+    direct ``CanonicalPair(...)`` call still runs it in full.
+    """
     order = total_order(pair)
     image = [0] * pair.n
     for new, old in enumerate(order):
         image[old] = new
-    return CanonicalPair(pair.relabel(image))
+    return CanonicalPair._unchecked(pair.relabel(image))
 
 
 def is_isomorphic(first: CatalanPair, second: CatalanPair) -> bool:

@@ -310,9 +310,7 @@ def _perms_312(n: int) -> tuple[Permutation, ...]:
         for left in _perms_312(k):
             for right in _perms_312(n - 1 - k):
                 out.append(
-                    tuple(v + 1 for v in left)
-                    + (1,)
-                    + tuple(v + k + 1 for v in right)
+                    tuple([v + 1 for v in left] + [1] + [v + k + 1 for v in right])
                 )
     return tuple(out)
 
@@ -425,9 +423,7 @@ def enumerate_seq1(n: int) -> tuple[Sequence, ...]:
         for left in enumerate_seq1(k):
             for right in enumerate_seq1(n - 1 - k):
                 out.append(
-                    (k + 1,)
-                    + tuple(v + 1 for v in left)
-                    + tuple(v + k + 1 for v in right)
+                    tuple([k + 1] + [v + 1 for v in left] + [v + k + 1 for v in right])
                 )
     return tuple(sorted(out, key=serialize_seq))
 
@@ -480,29 +476,23 @@ def enumerate_seq2(n: int) -> tuple[Sequence, ...]:
     if n == 0:
         return ((),)
     out: list[Sequence] = []
-
-    def after_fix(prefix: list[int], last: int) -> None:
+    # (prefix, last value, fixed point placed yet); iterative, so no
+    # closure cycle is left behind per build
+    stack: list[tuple[Sequence, int, bool]] = [((), 1, False)]
+    while stack:
+        prefix, last, fixed = stack.pop()
         p = len(prefix) + 1
         if p > n:
-            out.append(tuple(prefix))
-            return
-        for v in range(last, p):
-            prefix.append(v)
-            after_fix(prefix, v)
-            prefix.pop()
-
-    def before_fix(prefix: list[int], last: int) -> None:
-        p = len(prefix) + 1
-        if last <= p:
-            prefix.append(p)
-            after_fix(prefix, p)
-            prefix.pop()
-        for v in range(max(last, p + 1), n + 1):
-            prefix.append(v)
-            before_fix(prefix, v)
-            prefix.pop()
-
-    before_fix([], 1)
+            out.append(prefix)
+            continue
+        if fixed:
+            values = range(last, p)
+        else:
+            if last <= p:
+                stack.append((prefix + (p,), p, True))
+            values = range(max(last, p + 1), n + 1)
+        for v in values:
+            stack.append((prefix + (v,), v, fixed))
     return tuple(sorted(out, key=serialize_seq))
 
 

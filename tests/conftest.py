@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from catpairs import CatalanPair
+from catpairs import CatalanPair, trees
 from catpairs.cli import main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -22,6 +22,24 @@ SEVEN_R = frozenset(
         (2, 3), (2, 4), (2, 5), (2, 6), (4, 6), (5, 6),
     }
 )
+
+
+def random_tree(rng, n):
+    """A uniform binary tree with n nodes, by the cycle lemma.
+
+    Of the 2n + 1 rotations of a shuffle of n up and n + 1 down steps,
+    exactly one (the one after the first lowest point) stays nonnegative
+    until its last step; dropping that step leaves a Dyck word.
+    """
+    steps = ["U"] * n + ["D"] * (n + 1)
+    rng.shuffle(steps)
+    height = lowest = cut = 0
+    for pos, step in enumerate(steps, start=1):
+        height += 1 if step == "U" else -1
+        if height < lowest:
+            lowest, cut = height, pos
+    word = "".join(steps[cut:] + steps[:cut])
+    return trees.from_dyck_word(word[:-1])
 
 
 @pytest.fixture

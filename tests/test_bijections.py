@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+
 import pytest
 
 from catpairs import (
@@ -20,6 +22,7 @@ from catpairs import (
     pair_to_tree,
     reference_decode,
 )
+from catpairs.bijections import _decode_table
 from catpairs.structures import enumerate_seq2, seq2_fixed_point
 
 FAMILY_TAGS = (
@@ -177,6 +180,24 @@ def test_convert_round_trips_through_any_family():
         for word in words:
             there = convert(word, "dyck", tag)
             assert convert(there, tag, "dyck") == word
+
+
+def test_convert_leaves_no_reference_cycles():
+    # conversion garbage must go by reference counting alone: a recursive
+    # closure (plane-tree encode, a cold seq2 build) leaves a cycle per call
+    _decode_table.cache_clear()
+    enumerate_seq2.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        for n in (1, 4, 7):
+            for src in FAMILY_TAGS:
+                value = family(src).enumerate(n)[-1]
+                for dst in FAMILY_TAGS:
+                    convert(value, src, dst)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_convert_accepts_alias_tags():

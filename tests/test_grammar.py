@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import random
 from itertools import product
 
 import pytest
 
-from catpairs import CatalanPair, compose_pair, pair_to_tree, tree_to_pair, trees
+from catpairs import (
+    CatalanPair,
+    InvariantViolation,
+    Relation,
+    compose_pair,
+    decompose_pair,
+    enumerate_pairs,
+    pair_to_tree,
+    tree_to_pair,
+    trees,
+)
 from catpairs.grammar import (
     EMPTY_POLYOMINO,
     encode_polyomino,
@@ -20,6 +31,7 @@ from catpairs.grammar import (
     validate_grammar_tree,
     validate_polyomino,
 )
+from conftest import random_tree
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132)
 
@@ -54,6 +66,63 @@ def test_pair_to_tree_inverts_tree_to_pair():
 
 def test_pair_to_tree_accepts_relabeled_pairs(seven_pair):
     assert trees.serialize(pair_to_tree(seven_pair)) == "((e,e),(e,(((e,e),(e,e)),e)))"
+
+
+def recursive_pair_to_tree(pair: CatalanPair) -> trees.Tree:
+    """Reference decoder: decompose, with its full check, at every node."""
+    if pair.n == 0:
+        return trees.EMPTY
+    _, left, right = decompose_pair(pair)
+    return (recursive_pair_to_tree(left), recursive_pair_to_tree(right))
+
+
+def relabeled(pair: CatalanPair, rng: random.Random) -> CatalanPair:
+    image = list(range(pair.n))
+    rng.shuffle(image)
+    return pair.relabel(image)
+
+
+def test_pair_to_tree_matches_the_recursive_oracle_on_every_small_pair():
+    rng = random.Random("pair_to_tree:small")
+    for n in range(10):
+        for canon in enumerate_pairs(n):
+            for pair in (canon.pair, relabeled(canon.pair, rng)):
+                assert pair_to_tree(pair) == recursive_pair_to_tree(pair)
+
+
+@pytest.mark.parametrize("n", [100, 500, 2000])
+def test_pair_to_tree_reads_large_random_trees(n):
+    rng = random.Random(f"pair_to_tree:{n}")
+    t = random_tree(rng, n)
+    assert pair_to_tree(relabeled(grammar_pair(t), rng)) == t
+
+
+def flip(rel: Relation, i: int, j: int) -> Relation:
+    rows = list(rel.rows)
+    rows[i] ^= 1 << j
+    return Relation(rel.n, tuple(rows))
+
+
+def test_pair_to_tree_rejects_invalid_pairs_like_the_oracle():
+    # one flipped bit doubles or drops the relation between i and j, so
+    # every flip is invalid, and the message must be the oracle's
+    rng = random.Random("pair_to_tree:invalid")
+    for n in range(2, 6):
+        for canon in enumerate_pairs(n):
+            pair = relabeled(canon.pair, rng)
+            for i, j in product(range(n), repeat=2):
+                if i == j:
+                    continue
+                for broken in (
+                    CatalanPair(flip(pair.S, i, j), pair.R),
+                    CatalanPair(pair.S, flip(pair.R, i, j)),
+                ):
+                    with pytest.raises(InvariantViolation) as fast:
+                        pair_to_tree(broken)
+                    with pytest.raises(InvariantViolation) as slow:
+                        recursive_pair_to_tree(broken)
+                    assert str(fast.value) == str(slow.value)
+                    assert str(fast.value).startswith("decompose: axiom (")
 
 
 def test_validate_grammar_tree():

@@ -48,6 +48,7 @@ from catpairs.structures import (
     validate_seq2,
     validate_staircase,
 )
+from conftest import random_tree
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132)
 
@@ -237,24 +238,6 @@ def test_avoids_agrees_with_brute_force_containment():
 def test_avoids_rejects_unknown_pattern():
     with pytest.raises(ValueError, match="unsupported pattern"):
         avoids((1, 2, 3), "111")
-
-
-def random_tree(rng, n):
-    """A uniform binary tree with n nodes, by the cycle lemma.
-
-    Of the 2n + 1 rotations of a shuffle of n up and n + 1 down steps,
-    exactly one (the one after the first lowest point) stays nonnegative
-    until its last step; dropping that step leaves a Dyck word.
-    """
-    steps = ["U"] * n + ["D"] * (n + 1)
-    rng.shuffle(steps)
-    height = lowest = cut = 0
-    for pos, step in enumerate(steps, start=1):
-        height += 1 if step == "U" else -1
-        if height < lowest:
-            lowest, cut = height, pos
-    word = "".join(steps[cut:] + steps[:cut])
-    return trees.from_dyck_word(word[:-1])
 
 
 def random_321_avoider(rng, n):
