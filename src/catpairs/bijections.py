@@ -1,11 +1,11 @@
 """Pair -> structure decoders and the any-to-any family converter.
 
 Conversion has one route: encode the source value, canonicalize the
-pair, decode into the target family.  Decoding either assembles a value
-analytically by walking the pair's decomposition tree, or — for families
-whose construction is one-way (321-avoiders, the second sequence family,
-123-avoiders) — looks the canonical pair up in a memoized table built
-from the family's own enumerator.
+pair, decode into the target family.  Decoding assembles a value
+analytically by folding the family's join rule over the pair's
+decomposition tree.  The one family without a known inverse, the second
+sequence family, looks the canonical pair up instead, in a memoized
+table built from its own enumerator and capped at ``DEFAULT_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -52,77 +52,35 @@ DEFAULT_TABLE_CAP = 12
 
 # ---------------------------------------------------------------------------
 # Analytic assemblies: decomposition tree -> structure value.
-# Each mirrors its encoder so that encode(assemble(t)) is isomorphic to
+# Each folds its family's join rule over the tree, the rule its enumerator
+# grows every value with, so that encode(assemble(t)) is isomorphic to
 # tree_to_pair(t); the left subtree is the S-side block, the right the
 # R-side block.
 
 
 def assemble_dyck(t: trees.Tree) -> str:
-    if t == trees.EMPTY:
-        return ""
-    return "U" + assemble_dyck(t[0]) + "D" + assemble_dyck(t[1])
+    return trees.fold(t, trees._dyck, "")
 
 
 def assemble_matching(t: trees.Tree) -> structures.Matching:
-    """First arch spans the left part; the right part follows it."""
-    if t == trees.EMPTY:
-        return ()
-    inner = assemble_matching(t[0])
-    after = assemble_matching(t[1])
-    shift = 2 * len(inner) + 2
-    # lists, not generators: tuple(<genexpr>) over-allocates and resizes,
-    # which slowly fills CPython's per-size tuple freelists
-    return tuple(
-        [(1, shift)]
-        + [(l + 1, r + 1) for l, r in inner]
-        + [(l + shift, r + shift) for l, r in after]
-    )
+    return trees.fold(t, structures._matching_join, ())
 
 
 def assemble_plane_tree(t: trees.Tree) -> structures.PlaneTree:
-    """First child carries the left part; its siblings are the right part."""
-    if t == trees.EMPTY:
-        return ()
-    return (assemble_plane_tree(t[0]),) + assemble_plane_tree(t[1])
+    return trees.fold(t, structures._plane_tree_join, ())
 
 
 def assemble_perm_312(t: trees.Tree) -> structures.Permutation:
-    """The split value 1 sits between a low left block and a high right block."""
-    if t == trees.EMPTY:
-        return ()
-    left = assemble_perm_312(t[0])
-    right = assemble_perm_312(t[1])
-    k = len(left)
-    return tuple([v + 1 for v in left] + [1] + [v + k + 1 for v in right])
+    return trees.fold(t, structures._perm_312_join, ())
 
 
 def assemble_seq1(t: trees.Tree) -> structures.Sequence:
-    """a_1 names the left block's extent; the right block rides above it."""
-    if t == trees.EMPTY:
-        return ()
-    left = assemble_seq1(t[0])
-    right = assemble_seq1(t[1])
-    k = len(left)
-    return tuple([k + 1] + [v + 1 for v in left] + [v + k + 1 for v in right])
+    return trees.fold(t, structures._seq1_join, ())
 
 
 def assemble_staircase(t: trees.Tree) -> structures.Staircase:
     """The upper part is the S-side, so the tiling swaps the subtrees."""
-    if t == trees.EMPTY:
-        return trees.EMPTY
-    return (assemble_staircase(t[1]), assemble_staircase(t[0]))
-
-
-def _assemble_perm_class(pattern: str) -> Callable | None:
-    steps, base = structures.pattern_transform(pattern)
-    if base != "312":
-        return None  # table-decoded
-    back = tuple(reversed(steps))
-
-    def assemble(t: trees.Tree) -> structures.Permutation:
-        return structures.apply_steps(assemble_perm_312(t), back)
-
-    return assemble
+    return trees.fold(t, lambda left, right: (right, left), trees.EMPTY)
 
 
 # ---------------------------------------------------------------------------
@@ -161,10 +119,9 @@ def _perm_family(pattern: str) -> Family:
             return f"permutation contains the pattern {pattern}"
         return None
 
-    if pattern == "312":
-        assemble = assemble_perm_312
-    else:
-        assemble = _assemble_perm_class(pattern)
+    def assemble(t: trees.Tree) -> structures.Permutation:
+        return structures.perm_from_312(assemble_perm_312(t), pattern)
+
     return Family(
         tag=f"perm-{pattern}",
         parse=parse,
@@ -172,7 +129,7 @@ def _perm_family(pattern: str) -> Family:
         validate=validate,
         enumerate=lambda n: structures.enumerate_perm(n, pattern),
         encode=lambda p: pair_for_avoidance_class(p, pattern),
-        assemble=assemble,
+        assemble=assemble_perm_312 if pattern == "312" else assemble,
     )
 
 

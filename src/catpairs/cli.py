@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 from pathlib import Path
 
 from . import trees
@@ -41,6 +42,7 @@ def _family_tags() -> list[str]:
     return list(FAMILIES) + list(ALIASES)
 
 
+@cache  # one parser per process: argparse reads sys.stdout/stderr per call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="catpair", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)

@@ -30,6 +30,7 @@ from .structures import (
     apply_steps,
     avoids,
     pattern_transform,
+    profile_matching,
     seq2_fixed_point,
     seq2_offsets,
     validate_dyck,
@@ -210,30 +211,6 @@ def cover_pair(p: Permutation) -> CatalanPair:
     return CatalanPair.from_pairs(n, s_pairs, r_pairs)
 
 
-def profile_matching(p: Permutation) -> tuple[int, ...]:
-    """Down-to-up step matching of the running-maxima lattice path.
-
-    Column i of the path first climbs to height max(p[1..i]) and then
-    takes one down step; entry i of the result is the 1-based appearance
-    index of the up step that this down step closes.  The profile
-    determines a 321-avoider and vice versa (climb positions are the
-    left-to-right maxima, every other value fills in ascending order),
-    and the matching sequence always avoids 312 because closed intervals
-    of a balanced word never cross.
-    """
-    stack: list[int] = []
-    matched: list[int] = []
-    top = 0
-    nxt = 1
-    for value in p:
-        for _ in range(max(value - top, 0)):
-            stack.append(nxt)
-            nxt += 1
-        top = max(top, value)
-        matched.append(stack.pop())
-    return tuple(matched)
-
-
 def encode_perm_321(p: Permutation) -> CatalanPair:
     """S = nested matched-step intervals, R = disjoint ones; labels = positions.
 
@@ -314,14 +291,9 @@ def encode_staircase(t: Staircase) -> CatalanPair:
     uses the unchecked join rather than ``compose_pair``.
     """
     _require(validate_staircase(t))
-    return _staircase(t)
-
-
-def _staircase(t: Staircase) -> CatalanPair:
-    if t == trees.EMPTY:
-        return CatalanPair.empty(0)
-    lower, upper = t
-    return _join(_staircase(upper), _staircase(lower))
+    return trees.fold(
+        t, lambda lower, upper: _join(upper, lower), CatalanPair.empty(0)
+    )
 
 
 def pair_for_avoidance_class(p: Permutation, pattern: str) -> CatalanPair:

@@ -32,9 +32,7 @@ def tree_to_pair(t: trees.Tree) -> CatalanPair:
     The fold joins pairs it built itself, which are valid, so it uses the
     unchecked join rather than ``compose_pair``.
     """
-    if t == trees.EMPTY:
-        return CatalanPair.empty(0)
-    return _join(tree_to_pair(t[0]), tree_to_pair(t[1]))
+    return trees.fold(t, _join, CatalanPair.empty(0))
 
 
 def pair_to_tree(pair: CatalanPair) -> trees.Tree:
@@ -108,14 +106,10 @@ def grammar_pair(t: trees.Tree) -> CatalanPair:
     message = validate_grammar_tree(t)
     if message is not None:
         raise ValueError(message)
-    return _grammar(t)
+    return trees.fold(t, _grammar_join, CatalanPair.empty(0))
 
 
-def _grammar(t: trees.Tree) -> CatalanPair:
-    if t == trees.EMPTY:
-        return CatalanPair.empty(0)
-    left_pair = _grammar(t[0])
-    right_pair = _grammar(t[1])
+def _grammar_join(left_pair: CatalanPair, right_pair: CatalanPair) -> CatalanPair:
     k, m = left_pair.n, right_pair.n
     n = k + m + 1
     # lists, not generators: tuple(<genexpr>) over-allocates and resizes,
@@ -247,9 +241,13 @@ def _runs(word: str) -> tuple[list[int], list[int]]:
 
 def tree_to_polyomino(t: trees.Tree) -> Polyomino:
     """Inverse of :func:`polyomino_to_tree`."""
-    if t == trees.EMPTY:
+    return _word_to_polyomino(trees.to_dyck_word(t))
+
+
+def _word_to_polyomino(word: str) -> Polyomino:
+    if not word:
         return EMPTY_POLYOMINO
-    u_runs, d_runs = _runs(trees.to_dyck_word(t))
+    u_runs, d_runs = _runs(word)
     heights = [u_runs[0]]
     for i in range(1, len(u_runs)):
         heights.append(heights[i - 1] - d_runs[i - 1] + u_runs[i])
@@ -272,12 +270,8 @@ def tree_to_polyomino(t: trees.Tree) -> Polyomino:
 
 @lru_cache(maxsize=None)
 def enumerate_polyomino(n: int) -> tuple[Polyomino, ...]:
-    return tuple(
-        sorted(
-            (tree_to_polyomino(t) for t in trees.all_trees(n)),
-            key=serialize_polyomino,
-        )
-    )
+    words = trees.grow(n, trees._dyck, "")
+    return tuple(sorted(map(_word_to_polyomino, words), key=serialize_polyomino))
 
 
 def encode_polyomino(value: Polyomino) -> CatalanPair:

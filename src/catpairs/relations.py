@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
 from typing import Iterable, Iterator
 
+from . import trees
 from .errors import InvariantViolation
 
 
@@ -411,17 +411,9 @@ def catalan(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def enumerate_pairs(n: int) -> tuple[CanonicalPair, ...]:
-    """All canonical pairs of size *n*, built recursively by composition,
-    sorted by their text serialization."""
+    """All canonical pairs of size *n*, one per binary tree, joined as in
+    ``tree_to_pair`` and sorted by their text serialization."""
     from .pairfile import serialize_pair
 
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    if n == 0:
-        return (CanonicalPair(CatalanPair.empty(0)),)
-    seen: dict[str, CanonicalPair] = {}
-    for k in range(n):
-        for left, right in product(enumerate_pairs(k), enumerate_pairs(n - 1 - k)):
-            canon = canonicalize(compose_pair(left.pair, right.pair))
-            seen[serialize_pair(canon.pair)] = canon
-    return tuple(seen[key] for key in sorted(seen))
+    pairs = [canonicalize(p) for p in trees.grow(n, _join, CatalanPair.empty(0))]
+    return tuple(sorted(pairs, key=lambda canon: serialize_pair(canon.pair)))

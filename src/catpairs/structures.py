@@ -23,7 +23,6 @@ Representations:
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
 from math import inf
 from typing import Iterable
 
@@ -66,7 +65,7 @@ def serialize_dyck(word: str) -> str:
 
 @lru_cache(maxsize=None)
 def enumerate_dyck(n: int) -> tuple[str, ...]:
-    return tuple(sorted(trees.to_dyck_word(t) for t in trees.all_trees(n)))
+    return tuple(sorted(trees.grow(n, trees._dyck, "")))
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +128,21 @@ def matching_to_dyck(m: Matching) -> str:
     return "".join("U" if p in opens else "D" for p in range(1, 2 * len(m) + 1))
 
 
+def _matching_join(inner: Matching, after: Matching) -> Matching:
+    """The first arch spans *inner*; *after* follows it."""
+    shift = 2 * len(inner) + 2
+    # lists, not generators: tuple(<genexpr>) over-allocates and resizes,
+    # which slowly fills CPython's per-size tuple freelists
+    return tuple(
+        [(1, shift)]
+        + [(l + 1, r + 1) for l, r in inner]
+        + [(l + shift, r + shift) for l, r in after]
+    )
+
+
 @lru_cache(maxsize=None)
 def enumerate_matching(n: int) -> tuple[Matching, ...]:
-    return tuple(
-        sorted((dyck_to_matching(w) for w in enumerate_dyck(n)),
-               key=serialize_matching)
-    )
+    return tuple(sorted(trees.grow(n, _matching_join, ()), key=serialize_matching))
 
 
 # ---------------------------------------------------------------------------
@@ -144,56 +152,62 @@ PlaneTree = tuple
 
 
 def validate_plane_tree(t: object) -> str | None:
-    if not isinstance(t, tuple):
-        return f"expected a tuple of subtrees, got {type(t).__name__}"
-    for child in t:
-        message = validate_plane_tree(child)
-        if message is not None:
-            return message
+    stack = [t]
+    while stack:
+        node = stack.pop()
+        if not isinstance(node, tuple):
+            return f"expected a tuple of subtrees, got {type(node).__name__}"
+        stack.extend(reversed(node))
     return None
 
 
 def plane_tree_size(t: PlaneTree) -> int:
     """Number of edges."""
-    return sum(1 + plane_tree_size(child) for child in t)
+    return len(serialize_plane_tree(t)) // 2
 
 
 def serialize_plane_tree(t: PlaneTree) -> str:
-    return "".join("(" + serialize_plane_tree(child) + ")" for child in t)
+    out = []
+    stack: list = [t]  # subtrees still to write, and their closing ")"
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        for child in reversed(item):
+            stack += (")", child, "(")
+    return "".join(out)
 
 
 def parse_plane_tree(text: str) -> PlaneTree:
     s = text.strip()
-    forest, pos = _parse_forest(s, 0)
-    if pos != len(s):
-        raise ParseError(f"unbalanced ')' at offset {pos}")
-    return forest
+    open_forests: list[list] = [[]]  # children read so far, per open "("
+    for pos, letter in enumerate(s):
+        if letter == "(":
+            open_forests.append([])
+        elif letter != ")":
+            raise ParseError(f"unexpected character {letter!r} at offset {pos}")
+        elif len(open_forests) == 1:
+            raise ParseError(f"unbalanced ')' at offset {pos}")
+        else:
+            child = tuple(open_forests.pop())
+            open_forests[-1].append(child)
+    if len(open_forests) > 1:
+        raise ParseError(f"unclosed '(' at offset {len(s)}")
+    return tuple(open_forests[0])
 
 
-def _parse_forest(s: str, pos: int) -> tuple[PlaneTree, int]:
-    children = []
-    while pos < len(s) and s[pos] == "(":
-        child, pos = _parse_forest(s, pos + 1)
-        if pos >= len(s) or s[pos] != ")":
-            raise ParseError(f"unclosed '(' at offset {pos}")
-        children.append(child)
-        pos += 1
-    if pos < len(s) and s[pos] not in "()":
-        raise ParseError(f"unexpected character {s[pos]!r} at offset {pos}")
-    return tuple(children), pos
+def _plane_tree_join(first: PlaneTree, rest: PlaneTree) -> PlaneTree:
+    """*first* hangs from the first root edge; *rest* are its siblings."""
+    return (first,) + rest
 
 
 @lru_cache(maxsize=None)
 def enumerate_plane_tree(n: int) -> tuple[PlaneTree, ...]:
-    """All plane trees with *n* edges: first-child subtree + sibling forest."""
-    if n == 0:
-        return ((),)
-    out = []
-    for k in range(n):
-        for first in enumerate_plane_tree(k):
-            for rest in enumerate_plane_tree(n - 1 - k):
-                out.append((first,) + rest)
-    return tuple(sorted(out, key=serialize_plane_tree))
+    """All plane trees with *n* edges."""
+    return tuple(
+        sorted(trees.grow(n, _plane_tree_join, ()), key=serialize_plane_tree)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -300,46 +314,54 @@ def reverse_perm(p: Permutation) -> Permutation:
     return tuple(reversed(p))
 
 
-@lru_cache(maxsize=None)
-def _perms_312(n: int) -> tuple[Permutation, ...]:
-    """312-avoiders, by splitting at the position of the value 1."""
-    if n == 0:
-        return ((),)
-    out = []
-    for k in range(n):
-        for left in _perms_312(k):
-            for right in _perms_312(n - 1 - k):
-                out.append(
-                    tuple([v + 1 for v in left] + [1] + [v + k + 1 for v in right])
-                )
-    return tuple(out)
+def _perm_312_join(left: Permutation, right: Permutation) -> Permutation:
+    """The value 1 sits between a low left block and a high right block."""
+    k = len(left)
+    return tuple([v + 1 for v in left] + [1] + [v + k + 1 for v in right])
 
 
-@lru_cache(maxsize=None)
-def _perms_321(n: int) -> tuple[Permutation, ...]:
-    """321-avoiders, from their rising excedance positions and values.
+def profile_matching(p: Permutation) -> tuple[int, ...]:
+    """Down-to-up step matching of the running-maxima lattice path.
 
-    Choosing positions i_1 < ... < i_k and values v_1 < ... < v_k with
-    v_j > i_j for all j, placing v_j at i_j and filling the remaining
-    positions with the remaining values in increasing order produces
-    every 321-avoider exactly once.
+    Column i of the path first climbs to height max(p[1..i]) and then
+    takes one down step; entry i of the result is the 1-based appearance
+    index of the up step that this down step closes.  The profile
+    determines a 321-avoider and vice versa (climb positions are the
+    left-to-right maxima, every other value fills in ascending order),
+    and the matching sequence always avoids 312 because closed intervals
+    of a balanced word never cross.
     """
-    out = []
-    universe = range(1, n + 1)
-    for k in range(n + 1):
-        for positions in combinations(universe, k):
-            for values in combinations(universe, k):
-                if any(v <= i for i, v in zip(positions, values)):
-                    continue
-                perm = [0] * n
-                for i, v in zip(positions, values):
-                    perm[i - 1] = v
-                rest = iter(sorted(set(universe) - set(values)))
-                for slot in range(n):
-                    if perm[slot] == 0:
-                        perm[slot] = next(rest)
-                out.append(tuple(perm))
-    return tuple(out)
+    stack: list[int] = []
+    matched: list[int] = []
+    top = 0
+    nxt = 1
+    for value in p:
+        for _ in range(max(value - top, 0)):
+            stack.append(nxt)
+            nxt += 1
+        top = max(top, value)
+        matched.append(stack.pop())
+    return tuple(matched)
+
+
+def profile_unmatching(q: Permutation) -> Permutation:
+    """Inverse of :func:`profile_matching`, from S_n(312) onto S_n(321).
+
+    A column that climbs closes the up step it just took, so the matching
+    keeps every left-to-right maximum in place, and no other entry is
+    one.  The 321-avoider keeps those maxima and fills the other
+    positions with the unused values in ascending order.  O(n).
+    """
+    n = len(q)
+    perm = [0] * n
+    used = [False] * (n + 1)
+    top = 0
+    for i, v in enumerate(q):
+        if v > top:
+            top = perm[i] = v
+            used[v] = True
+    rest = (v for v in range(1, n + 1) if not used[v])
+    return tuple([v or next(rest) for v in perm])
 
 
 def pattern_transform(pattern: str) -> tuple[tuple[str, ...], str]:
@@ -366,14 +388,27 @@ def apply_steps(p: Permutation, steps: tuple[str, ...]) -> Permutation:
     return p
 
 
+def perm_from_312(p: Permutation, pattern: str) -> Permutation:
+    """The *pattern*-avoider whose pair is the 312-avoider *p*'s pair.
+
+    Inverts the encoder's route onto the base class: the 321 base is
+    reached through :func:`profile_matching`, and inv and rev are
+    involutions, so undoing a chain applies it backwards.
+    """
+    steps, base = pattern_transform(pattern)
+    if base == "321":
+        p = profile_unmatching(p)
+    return apply_steps(p, tuple(reversed(steps)))
+
+
 @lru_cache(maxsize=None)
 def enumerate_perm(n: int, pattern: str) -> tuple[Permutation, ...]:
     """All *pattern*-avoiding permutations of 1..n, sorted by text form."""
-    steps, base = pattern_transform(pattern)
-    pool = _perms_312(n) if base == "312" else _perms_321(n)
-    # inv and rev are involutions, so undoing a chain applies it backwards
-    out = [apply_steps(p, tuple(reversed(steps))) for p in pool]
-    return tuple(sorted(out, key=serialize_perm))
+    if pattern == "312":
+        pool = trees.grow(n, _perm_312_join, ())
+    else:
+        pool = [perm_from_312(p, pattern) for p in enumerate_perm(n, "312")]
+    return tuple(sorted(pool, key=serialize_perm))
 
 
 # ---------------------------------------------------------------------------
@@ -413,19 +448,15 @@ def serialize_seq(s: Sequence) -> str:
     return " ".join(str(v) for v in s)
 
 
+def _seq1_join(left: Sequence, right: Sequence) -> Sequence:
+    """a_1 = k + 1 names the left block's extent; the right block rides above."""
+    k = len(left)
+    return tuple([k + 1] + [v + 1 for v in left] + [v + k + 1 for v in right])
+
+
 @lru_cache(maxsize=None)
 def enumerate_seq1(n: int) -> tuple[Sequence, ...]:
-    """Built from the split a_1 = k + 1: a prefix on 2..k+1, a suffix above."""
-    if n == 0:
-        return ((),)
-    out = []
-    for k in range(n):
-        for left in enumerate_seq1(k):
-            for right in enumerate_seq1(n - 1 - k):
-                out.append(
-                    tuple([k + 1] + [v + 1 for v in left] + [v + k + 1 for v in right])
-                )
-    return tuple(sorted(out, key=serialize_seq))
+    return tuple(sorted(trees.grow(n, _seq1_join, ()), key=serialize_seq))
 
 
 # ---------------------------------------------------------------------------

@@ -4,11 +4,16 @@ A tree is either the empty tuple ``()`` or a pair ``(left, right)`` of trees.
 The textual form writes the empty tree as ``e`` and an internal node as
 ``(left,right)`` with no whitespace, e.g. ``((e,e),e)`` for the two-node
 tree whose root has a left child only.
+
+A family built on these trees is one ``join(left, right)`` rule plus the
+value of the empty tree, which :func:`fold` and :func:`grow` apply
+without recursion.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Callable
 
 from .errors import ParseError
 
@@ -17,93 +22,137 @@ Tree = tuple  # () or (Tree, Tree)
 EMPTY: Tree = ()
 
 
+def fold(tree: Tree, join: Callable, leaf: object) -> object:
+    """*leaf* at every empty subtree, ``join(left, right)`` at every node.
+
+    Nodes go in reverse preorder (right subtree, left subtree, node), so
+    the left value is on top of the stack when a node pops its children.
+    """
+    order = []
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if node:
+            stack.append(node[1])
+            stack.append(node[0])
+    values = []
+    for node in reversed(order):
+        values.append(join(values.pop(), values.pop()) if node else leaf)
+    return values[0]
+
+
+def grow(n: int, join: Callable, leaf: object) -> list:
+    """``fold(t, join, leaf)`` for every tree t with *n* nodes, bottom-up
+    by size, so each value costs one ``join`` call."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
+    levels = [[leaf]]
+    for m in range(1, n + 1):
+        levels.append([
+            join(left, right)
+            for k in range(m)
+            for left in levels[k]
+            for right in levels[m - 1 - k]
+        ])
+    return levels[n]
+
+
+def _dyck(left: str, right: str) -> str:
+    """The Dyck rule, shared by every Dyck-word fold and enumerator."""
+    return "U" + left + "D" + right
+
+
 def is_tree(value: object) -> bool:
     """True if *value* is a well-formed binary tree tuple."""
-    if value == ():
-        return True
-    return (
-        isinstance(value, tuple)
-        and len(value) == 2
-        and is_tree(value[0])
-        and is_tree(value[1])
-    )
+    stack = [value]
+    while stack:
+        node = stack.pop()
+        if node == ():
+            continue
+        if not (isinstance(node, tuple) and len(node) == 2):
+            return False
+        stack.extend(node)
+    return True
 
 
 def size(tree: Tree) -> int:
     """Number of internal nodes."""
-    if tree == ():
-        return 0
-    return 1 + size(tree[0]) + size(tree[1])
+    return fold(tree, lambda left, right: left + right + 1, 0)
 
 
 def serialize(tree: Tree) -> str:
-    if tree == ():
-        return "e"
-    return "(" + serialize(tree[0]) + "," + serialize(tree[1]) + ")"
+    return fold(tree, lambda left, right: "(" + left + "," + right + ")", "e")
 
 
 def parse(text: str) -> Tree:
     """Inverse of :func:`serialize`.  Raises ParseError on malformed input."""
     s = text.strip()
-    tree, pos = _parse_at(s, 0)
+    pos = 0
+    values: list[Tree] = []
+    todo = ["tree"]  # what is still to be read, last first; ")" ends a node
+    while todo:
+        want = todo.pop()
+        if want == "tree":
+            if pos >= len(s):
+                raise ParseError("unexpected end of input")
+            if s[pos] == "(":
+                todo += (")", "tree", ",", "tree")
+            elif s[pos] == "e":
+                values.append(EMPTY)
+            else:
+                raise ParseError(
+                    f"expected 'e' or '(' at offset {pos}, got {s[pos]!r}"
+                )
+        elif pos >= len(s) or s[pos] != want:
+            raise ParseError(f"expected {want!r} at offset {pos}")
+        elif want == ")":
+            right = values.pop()
+            values.append((values.pop(), right))
+        pos += 1
     if pos != len(s):
         raise ParseError(f"trailing characters at offset {pos}: {s[pos:]!r}")
-    return tree
+    return values[0]
 
 
-def _parse_at(s: str, pos: int) -> tuple[Tree, int]:
-    if pos >= len(s):
-        raise ParseError("unexpected end of input")
-    if s[pos] == "e":
-        return EMPTY, pos + 1
-    if s[pos] != "(":
-        raise ParseError(f"expected 'e' or '(' at offset {pos}, got {s[pos]!r}")
-    left, pos = _parse_at(s, pos + 1)
-    if pos >= len(s) or s[pos] != ",":
-        raise ParseError(f"expected ',' at offset {pos}")
-    right, pos = _parse_at(s, pos + 1)
-    if pos >= len(s) or s[pos] != ")":
-        raise ParseError(f"expected ')' at offset {pos}")
-    return (left, right), pos + 1
+def _text_and_node(left: tuple[str, Tree], right: tuple[str, Tree]) -> tuple:
+    """A node with its text, so that sorting by text walks no tree."""
+    return "(" + left[0] + "," + right[0] + ")", (left[1], right[1])
 
 
 @lru_cache(maxsize=None)
 def all_trees(n: int) -> tuple[Tree, ...]:
     """All binary trees with *n* internal nodes, sorted by textual form."""
-    if n < 0:
-        raise ValueError("size must be nonnegative")
-    if n == 0:
-        return (EMPTY,)
-    out = []
-    for k in range(n):
-        for left in all_trees(k):
-            for right in all_trees(n - 1 - k):
-                out.append((left, right))
-    return tuple(sorted(out, key=serialize))
+    pairs = sorted(grow(n, _text_and_node, ("e", EMPTY)))
+    return tuple([tree for _, tree in pairs])
 
 
 def to_dyck_word(tree: Tree) -> str:
     """Balanced word over U/D: a node maps to U <left> D <right>."""
-    if tree == ():
-        return ""
-    return "U" + to_dyck_word(tree[0]) + "D" + to_dyck_word(tree[1])
+    return fold(tree, _dyck, "")
 
 
 def from_dyck_word(word: str) -> Tree:
     """Inverse of :func:`to_dyck_word` (first-return factorisation)."""
-    tree, pos = _tree_at(word, 0)
+    pos = 0
+    values: list[Tree] = []
+    todo = ["tree"]  # what is still to be read, last first
+    while todo:
+        want = todo.pop()
+        if want == "node":
+            right = values.pop()
+            values.append((values.pop(), right))
+        elif want == "D":
+            if pos >= len(word) or word[pos] != "D":
+                raise ValueError("unbalanced word: unmatched 'U'")
+            pos += 1
+        elif pos >= len(word) or word[pos] == "D":
+            values.append(EMPTY)
+        elif word[pos] != "U":
+            raise ValueError(f"unexpected letter {word[pos]!r} at position {pos}")
+        else:
+            todo += ("node", "tree", "D", "tree")
+            pos += 1
     if pos != len(word):
         raise ValueError(f"unbalanced word: unmatched 'D' at position {pos}")
-    return tree
-
-
-def _tree_at(word: str, pos: int) -> tuple[Tree, int]:
-    if pos >= len(word) or word[pos] == "D":
-        return EMPTY, pos
-    if word[pos] != "U":
-        raise ValueError(f"unexpected letter {word[pos]!r} at position {pos}")
-    left, pos = _tree_at(word, pos + 1)
-    if pos >= len(word) or word[pos] != "D":
-        raise ValueError(f"unbalanced word: unmatched 'U'")
-    right, pos = _tree_at(word, pos + 1)
-    return (left, right), pos
+    return values[0]

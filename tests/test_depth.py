@@ -1,0 +1,75 @@
+"""Deep inputs at the default recursion limit: no tree walk may recurse.
+
+Chains of DEPTH nodes are deeper than CPython's default limit of 1000
+frames, so any recursion along the chain raises RecursionError.  These
+tests never raise the limit.
+"""
+
+from __future__ import annotations
+
+import sys
+
+import pytest
+
+from catpairs import family, pair_to_tree, tree_to_pair, trees
+from catpairs.encoders import encode_staircase
+from catpairs.grammar import grammar_pair
+from test_bijections import ANALYTIC
+
+DEPTH = 1100
+
+
+def chain(side: str) -> trees.Tree:
+    t = trees.EMPTY
+    for _ in range(DEPTH):
+        t = (t, trees.EMPTY) if side == "left" else (trees.EMPTY, t)
+    return t
+
+
+@pytest.fixture(params=["left", "right"])
+def deep(request) -> tuple[str, trees.Tree]:
+    assert sys.getrecursionlimit() <= 1000
+    return request.param, chain(request.param)
+
+
+@pytest.mark.parametrize("tag", ANALYTIC)
+def test_family_codecs_return_on_deep_trees(tag, deep):
+    fam = family(tag)
+    value = fam.assemble(deep[1])
+    assert fam.validate(value) is None
+    text = fam.serialize(value)
+    assert fam.serialize(fam.parse(text)) == text
+
+
+def test_tree_walks_return_on_deep_trees(deep):
+    side, t = deep
+    assert trees.size(t) == DEPTH
+    assert trees.serialize(t) == (
+        "(" * DEPTH + "e" + ",e)" * DEPTH
+        if side == "left"
+        else "(e," * DEPTH + "e" + ")" * DEPTH
+    )
+    assert trees.to_dyck_word(t) == (
+        "U" * DEPTH + "D" * DEPTH if side == "left" else "UD" * DEPTH
+    )
+    text = trees.serialize(t)
+    assert trees.serialize(trees.parse(text)) == text
+    assert trees.serialize(trees.from_dyck_word(trees.to_dyck_word(t))) == text
+
+
+def test_pair_folds_return_on_deep_trees(deep):
+    side, t = deep
+    pair = tree_to_pair(t)
+    assert grammar_pair(t) == pair
+    # == on tuples this deep recurses in C, so compare the text forms
+    assert trees.serialize(pair_to_tree(pair)) == trees.serialize(t)
+    # the staircase fold takes the upper part first, a mirror image
+    mirror = chain("right" if side == "left" else "left")
+    assert encode_staircase(mirror) == pair
+
+
+def test_cli_converts_a_deep_permutation(run_cli):
+    value = " ".join(str(v) for v in range(DEPTH, 0, -1))
+    code, out, err = run_cli(["convert", "--from", "perm-312", "--to", "perm-321", value])
+    assert (code, err) == (0, "")
+    assert out == " ".join(str(v) for v in [DEPTH, *range(1, DEPTH)]) + "\n"

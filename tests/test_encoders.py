@@ -37,6 +37,7 @@ from catpairs.structures import (
     parse_plane_tree,
     parse_seq1,
     parse_seq2,
+    profile_unmatching,
 )
 
 
@@ -134,6 +135,17 @@ def test_profile_matching_lands_in_the_other_class():
     for n in range(7):
         for p in enumerate_perm(n, "321"):
             assert avoids(profile_matching(p), "312")
+
+
+def test_profile_unmatching_inverts_profile_matching():
+    # both classes come from a filter over S_n, not from the enumerator,
+    # which is itself built with profile_unmatching
+    for n in range(9):
+        perms = list(permutations(range(1, n + 1)))
+        for p in (p for p in perms if avoids(p, "321")):
+            assert profile_unmatching(profile_matching(p)) == p
+        for q in (q for q in perms if avoids(q, "312")):
+            assert profile_matching(profile_unmatching(q)) == q
 
 
 def test_encode_perm_321_pinned_example():

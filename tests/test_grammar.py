@@ -14,6 +14,7 @@ from catpairs import (
     compose_pair,
     decompose_pair,
     enumerate_pairs,
+    family,
     pair_to_tree,
     tree_to_pair,
     trees,
@@ -95,6 +96,12 @@ def test_pair_to_tree_reads_large_random_trees(n):
     rng = random.Random(f"pair_to_tree:{n}")
     t = random_tree(rng, n)
     assert pair_to_tree(relabeled(grammar_pair(t), rng)) == t
+    # the permutation classes decoded through profile_unmatching
+    for tag in ("perm-321", "perm-123"):
+        fam = family(tag)
+        value = fam.assemble(t)
+        assert fam.validate(value) is None
+        assert pair_to_tree(fam.encode(value)) == t
 
 
 def flip(rel: Relation, i: int, j: int) -> Relation:
