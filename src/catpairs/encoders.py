@@ -97,44 +97,34 @@ def encode_dyck(word: str) -> CatalanPair:
     return CatalanPair.from_pairs(n, s_pairs, r_pairs)
 
 
-def _node_paths(t: PlaneTree) -> list[tuple[int, ...]]:
-    """Child-index paths of all non-root nodes, in preorder."""
-    paths: list[tuple[int, ...]] = []
-    stack = [((), t)]
-    while stack:
-        prefix, subtree = stack.pop()
-        if prefix:
-            paths.append(prefix)
-        for index in range(len(subtree) - 1, -1, -1):
-            stack.append((prefix + (index,), subtree[index]))
-    return paths
-
-
 def encode_plane_tree(t: PlaneTree) -> CatalanPair:
     """Non-root nodes in preorder; S = proper descendant, R = left of.
 
     One node is left of another when neither is an ancestor of the other
-    and its branch leaves their closest common ancestor earlier.
+    and its branch leaves their closest common ancestor earlier.  In
+    preorder that is every label after the node's own subtree, so a node's
+    S row is the mask of its ancestors, built top down, and its R row is
+    read off its subtree size: O(n) row operations.
     """
     _require(validate_plane_tree(t))
-    paths = _node_paths(t)
-    n = len(paths)
-    s_pairs = []
-    r_pairs = []
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            px, py = paths[x], paths[y]
-            if len(py) < len(px) and px[: len(py)] == py:
-                s_pairs.append((x, y))
-            elif px[: len(py)] != py and py[: len(px)] != px:
-                shared = 0
-                while px[shared] == py[shared]:
-                    shared += 1
-                if px[shared] < py[shared]:
-                    r_pairs.append((x, y))
-    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+    parents: list[int] = []  # preorder parent label, -1 under the root
+    stack = [(child, -1) for child in reversed(t)]
+    while stack:
+        node, parent = stack.pop()
+        label = len(parents)
+        parents.append(parent)
+        stack.extend((child, label) for child in reversed(node))
+    n = len(parents)
+    size = [1] * n
+    for x in range(n - 1, -1, -1):
+        if parents[x] >= 0:
+            size[parents[x]] += size[x]
+    s_rows: list[int] = []
+    for parent in parents:
+        s_rows.append(s_rows[parent] | 1 << parent if parent >= 0 else 0)
+    everything = (1 << n) - 1
+    r_rows = [everything >> (x + size[x]) << (x + size[x]) for x in range(n)]
+    return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
 
 
 def encode_perm_312(p: Permutation) -> CatalanPair:

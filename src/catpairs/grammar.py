@@ -23,7 +23,14 @@ from functools import lru_cache
 
 from . import trees
 from .errors import ParseError
-from .relations import CatalanPair, Relation, _join, bits, decompose_pair
+from .relations import (
+    CatalanPair,
+    Relation,
+    _join,
+    _subtree_sizes,
+    bits,
+    decompose_pair,
+)
 
 
 def tree_to_pair(t: trees.Tree) -> CatalanPair:
@@ -58,8 +65,8 @@ def _valid_pair_tree(pair: CatalanPair) -> trees.Tree:
     position n - 1 - d.  A label's left subtree holds exactly the labels
     that S-precede it, so its size is the popcount of the label's
     S-column.  Subtree sizes then follow top-down, and the tree is built
-    bottom-up in reverse preorder.  O(n + |S|) with no recursion; on an
-    invalid pair the result is meaningless.
+    bottom-up in reverse preorder.  O(n + |S|) with no recursion; an
+    invalid pair gives a meaningless tree or an error.
     """
     n = pair.n
     s_in = [0] * n
@@ -69,15 +76,7 @@ def _valid_pair_tree(pair: CatalanPair) -> trees.Tree:
     left_size = [0] * n
     for i, row in enumerate(pair.R.rows):
         left_size[n - 1 - row.bit_count() - s_in[i]] = s_in[i]
-    size = [0] * (n + 1)
-    size[0] = n
-    for p in range(n):
-        a = left_size[p]
-        b = size[p] - 1 - a
-        if a:
-            size[p + 1] = a
-        if b:
-            size[p + a + 1] = b
+    size = _subtree_sizes(left_size)
     nodes: list[trees.Tree] = [trees.EMPTY] * (n + 1)
     for p in range(n - 1, -1, -1):
         a = left_size[p]

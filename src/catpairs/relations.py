@@ -14,6 +14,11 @@ is what the rest of the package exploits.
 
 Relations are stored as bitset rows: bit j of ``rows[i]`` is set iff the
 pair (i, j) belongs to the relation.
+
+Cost model: deciding whether a pair is valid (``check_axioms``,
+``total_order``) takes one pass over the set bits of S plus O(n) big-int
+row operations, whatever the density of R.  Only an invalid pair pays
+for the per-bit scan over both relations that names its witnesses.
 """
 
 from __future__ import annotations
@@ -139,8 +144,17 @@ class AxiomReport:
 
 
 def check_axioms(S: Relation, R: Relation) -> AxiomReport:
+    """Check the four axioms; report one witness per failing axiom.
+
+    A valid pair costs one pass over S's set bits and O(n) row operations
+    (see :func:`_derived_order`).  The per-bit scan over both relations
+    runs only on an invalid pair, to name its witnesses.
+    """
     if S.n != R.n:
         raise ValueError("S and R must live on the same label set")
+    if _derived_order(S, R) is not None:
+        return AxiomReport(valid=True, violations=())
+
     n = S.n
     violations: list[tuple[str, tuple[int, ...]]] = []
 
@@ -319,21 +333,77 @@ def decompose_pair(pair: CatalanPair) -> tuple[int, CatalanPair, CatalanPair]:
 def total_order(pair: CatalanPair) -> tuple[int, ...]:
     """Labels sorted by the order L with i L j iff i R j or j S i.
 
-    For a valid pair L is always a strict total order; this recomputes and
-    verifies that instead of assuming it.
+    For a valid pair L is always a strict total order.  The order is
+    derived and the pair validated together, in one pass over S's set bits
+    plus O(n) row operations; an invalid pair raises InvariantViolation
+    with its first axiom witness.
     """
-    _require_valid(pair, "total order")
-    s_cols = pair.S.cols()
-    l_rows = [pair.R.rows[i] | s_cols[i] for i in range(pair.n)]
-    order = sorted(range(pair.n), key=lambda i: -l_rows[i].bit_count())
-    for a in range(pair.n):
-        for b in range(a + 1, pair.n):
-            i, j = order[a], order[b]
-            if not (l_rows[i] >> j & 1) or (l_rows[j] >> i & 1):
-                raise InvariantViolation(
-                    f"derived order is not a strict total order at ({i}, {j})"
-                )
+    order = _derived_order(pair.S, pair.R)
+    if order is None:
+        _require_valid(pair, "total order")
+        raise InvariantViolation(
+            "total order: no derived order on a pair that passes the axiom check"
+        )
+    return order
+
+
+def _derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
+    """The derived order of (S, R) if the pair is valid, else None.
+
+    A valid pair is a relabelled ``grammar.tree_to_pair`` of some binary
+    tree, so the pair is rebuilt row by row instead of checked bit by bit.
+    L lists the tree in preorder, a label's S-column is its left subtree
+    (the block of labels right after it in L) and R is the rest of L.  So
+    the pair is valid exactly when L is a strict total order, every
+    S-column is that block and the block sizes fill a binary tree.  One
+    pass over S's set bits, then O(n) row operations.
+    """
+    n = S.n
+    s_cols = S.cols()
+    l_rows = []
+    for r_row, s_col in zip(R.rows, s_cols):
+        if r_row & s_col:
+            return None
+        l_rows.append(r_row | s_col)
+    order = sorted(range(n), key=lambda i: -l_rows[i].bit_count())
+    before = [0] * (n + 1)  # before[p]: labels at positions < p
+    for p, i in enumerate(order):
+        before[p + 1] = before[p] | 1 << i
+    left_sizes = []
+    for p, i in enumerate(order):
+        a = s_cols[i].bit_count()
+        if (
+            l_rows[i] != before[n] ^ before[p + 1]
+            or s_cols[i] != before[p + a + 1] ^ before[p + 1]
+        ):
+            return None
+        left_sizes.append(a)
+    if _subtree_sizes(left_sizes) is None:
+        return None
     return tuple(order)
+
+
+def _subtree_sizes(left_sizes: list[int]) -> list[int] | None:
+    """Subtree sizes, by preorder position, of the binary tree whose
+    left subtrees have *left_sizes*; None if no tree has them.
+
+    The root's block is every position; each block splits top down into
+    its first position, a left block and a right block.  The blocks still
+    to split tile the positions not yet read, so a split that leaves no
+    negative right size reaches every position exactly once.
+    """
+    n = len(left_sizes)
+    size = [0] * (n + 1)
+    size[0] = n
+    for p, a in enumerate(left_sizes):
+        b = size[p] - 1 - a
+        if b < 0:
+            return None
+        if a:
+            size[p + 1] = a
+        if b:
+            size[p + a + 1] = b
+    return size
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import sys
 import pytest
 
 from catpairs import family, pair_to_tree, tree_to_pair, trees
-from catpairs.encoders import encode_staircase
+from catpairs.encoders import encode_plane_tree, encode_staircase
 from catpairs.grammar import grammar_pair
 from test_bijections import ANALYTIC
 
@@ -66,6 +66,16 @@ def test_pair_folds_return_on_deep_trees(deep):
     # the staircase fold takes the upper part first, a mirror image
     mirror = chain("right" if side == "left" else "left")
     assert encode_staircase(mirror) == pair
+
+
+def test_plane_tree_encoder_returns_on_a_deep_chain():
+    t: tuple = ()
+    for _ in range(DEPTH):
+        t = (t,)
+    pair = encode_plane_tree(t)
+    # preorder runs down the chain: every node descends from every earlier one
+    assert pair.S.rows == tuple((1 << x) - 1 for x in range(DEPTH))
+    assert pair.R.rows == (0,) * DEPTH
 
 
 def test_cli_converts_a_deep_permutation(run_cli):

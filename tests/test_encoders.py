@@ -24,6 +24,7 @@ from catpairs.encoders import (
 )
 from catpairs.structures import (
     PATTERNS,
+    PlaneTree,
     avoids,
     dyck_to_matching,
     enumerate_dyck,
@@ -86,6 +87,41 @@ def test_encode_plane_tree_pinned_values():
     assert sets(pair) == ({(1, 0), (2, 0), (2, 1)}, set())
     pair = encode_plane_tree(parse_plane_tree("()()()"))
     assert sets(pair) == (set(), {(0, 1), (0, 2), (1, 2)})
+
+
+def reference_encode_plane_tree(t: PlaneTree) -> CatalanPair:
+    """The path-based encoder: compare child-index paths pair by pair."""
+    paths: list[tuple[int, ...]] = []
+    stack = [((), t)]
+    while stack:
+        prefix, subtree = stack.pop()
+        if prefix:
+            paths.append(prefix)
+        for index in range(len(subtree) - 1, -1, -1):
+            stack.append((prefix + (index,), subtree[index]))
+    n = len(paths)
+    s_pairs = []
+    r_pairs = []
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            px, py = paths[x], paths[y]
+            if len(py) < len(px) and px[: len(py)] == py:
+                s_pairs.append((x, y))
+            elif px[: len(py)] != py and py[: len(px)] != px:
+                shared = 0
+                while px[shared] == py[shared]:
+                    shared += 1
+                if px[shared] < py[shared]:
+                    r_pairs.append((x, y))
+    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+
+
+def test_encode_plane_tree_matches_path_reference():
+    for n in range(10):
+        for t in enumerate_plane_tree(n):
+            assert encode_plane_tree(t) == reference_encode_plane_tree(t)
 
 
 def test_encode_plane_tree_valid_and_injective():
