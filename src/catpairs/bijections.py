@@ -281,11 +281,12 @@ def decode_pair(
 def convert(
     value: object, src: str, dst: str, max_size: int = DEFAULT_TABLE_CAP
 ) -> object:
-    """Carry a value from one family to another through its canonical pair."""
+    """Carry a value from one family to another through its canonical pair.
+
+    The source family's encoder checks *value* and raises ValueError with
+    its ``validate`` message.
+    """
     fsrc = family(src)
     fdst = family(dst)
-    message = fsrc.validate(value)
-    if message is not None:
-        raise ValueError(message)
     canon = canonicalize(fsrc.encode(value))
     return decode_pair(canon.pair, fdst.tag, max_size)

@@ -1,26 +1,26 @@
-"""Structure -> order-pair constructions, one per family.
+"""Structure -> order-pair encoders.
 
-Every encoder turns a family value of size n into a (S, R) pair on labels
-0..n-1, following each family's own relation rules rather than a shared
-recursion, so the generic composition calculus can be tested against
-them independently.  Labels always follow the family's natural reading
-order (arches by left endpoint, tree nodes in preorder, sequence and
-permutation positions left to right).
+A tree-shaped family is one recursive ``join`` rule over binary trees,
+so a value's pair is the pair of its decomposition tree
+(``grammar.tree_to_pair``) relabelled in the family's reading order.  Its
+encoder checks the value, reads each node's left-subtree size off it in
+one pass, and builds the pair from those sizes (``grammar._left_sizes_pair``)
+with preorder labels (arches by left endpoint, plane-tree nodes, sequence
+positions) or inorder labels (staircases; binary trees and polyominoes
+in ``grammar``).  Each docstring states what S and R mean for its family.
 
-Encoders for values with a validity notion raise ValueError on invalid
-input.  ``encode_perm_312`` and ``cover_pair`` are deliberate
-exceptions: they are total over all permutations, because whether their
-output satisfies the pair axioms is itself meaningful.  For
-``encode_perm_312`` validity characterizes 312-avoidance exactly; for
-``cover_pair`` it does not even cover all of S_n(321) (see its
-docstring), which is why ``encode_perm_321`` uses the matched-interval
-construction instead.
+The permutation classes carry inversion pairs, and the second sequence
+family splits at its fixed point.  Encoders raise ValueError on invalid
+input, except ``encode_perm_312``: it is total over all permutations,
+and its output passes the pair axioms exactly when the permutation
+avoids 312.
 """
 
 from __future__ import annotations
 
 from . import trees
-from .relations import CatalanPair, Relation, _join
+from .grammar import _left_sizes_pair, tree_to_pair
+from .relations import CatalanPair, Relation
 from .structures import (
     Matching,
     Permutation,
@@ -33,6 +33,7 @@ from .structures import (
     profile_matching,
     seq2_fixed_point,
     seq2_offsets,
+    serialize_plane_tree,
     validate_dyck,
     validate_matching,
     validate_perm,
@@ -48,83 +49,52 @@ def _require(message: str | None) -> None:
         raise ValueError(message)
 
 
+def _enclosed(word: str, opening: str) -> list[int]:
+    """For each *opening* letter of a balanced word, in order, how many
+    opening letters lie between it and the letter that closes it."""
+    counts: list[int] = []
+    unclosed: list[int] = []
+    for letter in word:
+        if letter == opening:
+            unclosed.append(len(counts))
+            counts.append(0)
+        else:
+            i = unclosed.pop()
+            counts[i] = len(counts) - 1 - i
+    return counts
+
+
 def encode_matching(m: Matching) -> CatalanPair:
-    """S = strict arch inclusion, R = completely-left-of."""
+    """S = strict arch inclusion, R = completely-left-of.
+
+    Arches by left endpoint are the tree's preorder, and an arch's left
+    subtree is the (r - l - 1) / 2 arches inside it.
+    """
     _require(validate_matching(m))
-    n = len(m)
-    s_pairs = []
-    r_pairs = []
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            lx, rx = m[x]
-            ly, ry = m[y]
-            if ly < lx and rx < ry:
-                s_pairs.append((x, y))
-            elif rx < ly:
-                r_pairs.append((x, y))
-    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+    return _left_sizes_pair([(r - l - 1) // 2 for l, r in m], inorder=False)
 
 
 def encode_dyck(word: str) -> CatalanPair:
     """Tunnels (matched U/D step pairs): S = strictly above, R = left of.
 
-    Labels follow up-step order, which makes this agree label-for-label
-    with ``encode_matching`` over the arch translation -- a tested
-    identity, not a shared implementation.
+    Up steps are the tree's preorder, and a tunnel's left subtree is the
+    tunnels inside it; labels follow up-step order, as the arches of
+    ``encode_matching`` do.
     """
     _require(validate_dyck(word))
-    stack: list[int] = []
-    matched: dict[int, int] = {}
-    for pos, letter in enumerate(word):
-        if letter == "U":
-            stack.append(pos)
-        else:
-            matched[stack.pop()] = pos
-    ups = sorted(matched)
-    n = len(ups)
-    s_pairs = []
-    r_pairs = []
-    for x in range(n):
-        for y in range(n):
-            if x == y:
-                continue
-            if ups[y] < ups[x] and matched[ups[x]] < matched[ups[y]]:
-                s_pairs.append((x, y))
-            elif matched[ups[x]] < ups[y]:
-                r_pairs.append((x, y))
-    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+    return _left_sizes_pair(_enclosed(word, "U"), inorder=False)
 
 
 def encode_plane_tree(t: PlaneTree) -> CatalanPair:
     """Non-root nodes in preorder; S = proper descendant, R = left of.
 
     One node is left of another when neither is an ancestor of the other
-    and its branch leaves their closest common ancestor earlier.  In
-    preorder that is every label after the node's own subtree, so a node's
-    S row is the mask of its ancestors, built top down, and its R row is
-    read off its subtree size: O(n) row operations.
+    and its branch leaves their closest common ancestor earlier.  The text
+    form opens one "(" per non-root node in preorder, and a node's left
+    subtree is its descendants, the nodes opened inside it.
     """
     _require(validate_plane_tree(t))
-    parents: list[int] = []  # preorder parent label, -1 under the root
-    stack = [(child, -1) for child in reversed(t)]
-    while stack:
-        node, parent = stack.pop()
-        label = len(parents)
-        parents.append(parent)
-        stack.extend((child, label) for child in reversed(node))
-    n = len(parents)
-    size = [1] * n
-    for x in range(n - 1, -1, -1):
-        if parents[x] >= 0:
-            size[parents[x]] += size[x]
-    s_rows: list[int] = []
-    for parent in parents:
-        s_rows.append(s_rows[parent] | 1 << parent if parent >= 0 else 0)
-    everything = (1 << n) - 1
-    r_rows = [everything >> (x + size[x]) << (x + size[x]) for x in range(n)]
-    return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
+    return _left_sizes_pair(_enclosed(serialize_plane_tree(t), "("), inorder=False)
 
 
 def encode_perm_312(p: Permutation) -> CatalanPair:
@@ -160,57 +130,13 @@ def _inversion_pair(keys: Permutation) -> CatalanPair:
     return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
 
 
-def perm_points(p: Permutation) -> tuple[tuple[int, int], ...]:
-    """The plane representation: one (position, value) point per entry."""
-    return tuple((i + 1, v) for i, v in enumerate(p))
-
-
-def cover_exists(
-    points: tuple[tuple[int, int], ...],
-    x: tuple[int, int],
-    y: tuple[int, int],
-) -> bool:
-    """True if some point lies left of both x and y and above both."""
-    return any(
-        c[0] < x[0] and c[0] < y[0] and c[1] > x[1] and c[1] > y[1]
-        for c in points
-    )
-
-
-def cover_pair(p: Permutation) -> CatalanPair:
-    """R = rising uncovered point pairs; S = the other position pairs.
-
-    Total over all permutations, and kept as a separate probe because
-    its validity region is a strict subset of the 321-avoiders: for
-    p = (2, 4, 1, 3) the output S is not transitive.  Wherever the
-    output is valid it coincides with ``encode_perm_321``, which is the
-    tested relationship between the two.
-    """
-    _require(validate_perm(p))
-    points = perm_points(p)
-    n = len(p)
-    s_pairs = []
-    r_pairs = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            x, y = points[i], points[j]
-            if x[1] < y[1] and not cover_exists(points, x, y):
-                r_pairs.append((i, j))
-            else:
-                s_pairs.append((i, j))
-    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
-
-
 def encode_perm_321(p: Permutation) -> CatalanPair:
     """S = nested matched-step intervals, R = disjoint ones; labels = positions.
 
     Positions i < j are S-related when the running-maxima path closes
     their columns' intervals in first-opened-last-closed order (an
     inversion of ``profile_matching``), and R-related when i's interval
-    closes before j's opens.  This coincides with ``cover_pair`` on
-    every 321-avoider for which that rule yields a valid pair, and
-    unlike it stays valid -- and injective -- on the whole avoidance
-    class.
+    closes before j's opens.
     """
     _require(validate_perm(p))
     if not avoids(p, "321"):
@@ -219,18 +145,13 @@ def encode_perm_321(p: Permutation) -> CatalanPair:
 
 
 def encode_seq1(s: Sequence) -> CatalanPair:
-    """a_i R a_j when i < j and a_i < a_j; a_i S a_j when j < i and a_i <= a_j."""
+    """a_i R a_j when i < j and a_i < a_j; a_i S a_j when j < i and a_i <= a_j.
+
+    Positions are the tree's preorder, and a_i - i is the size of
+    position i's left subtree.
+    """
     _require(validate_seq1(s))
-    n = len(s)
-    s_pairs = []
-    r_pairs = []
-    for i in range(n):
-        for j in range(n):
-            if j < i and s[i] <= s[j]:
-                s_pairs.append((i, j))
-            elif i < j and s[i] < s[j]:
-                r_pairs.append((i, j))
-    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+    return _left_sizes_pair([a - i for i, a in enumerate(s, start=1)], inorder=False)
 
 
 def encode_seq2(s: Sequence) -> CatalanPair:
@@ -272,18 +193,15 @@ def encode_seq2(s: Sequence) -> CatalanPair:
 
 
 def encode_staircase(t: Staircase) -> CatalanPair:
-    """Fold of the junction-rectangle decomposition.
+    """Composition of the junction-rectangle decomposition.
 
     The junction rectangle is S-dominated by the upper part and
     R-precedes the lower part, so the upper subtree takes the left slot
-    of the composition and the lower subtree the right slot.  The value
-    is checked once, here; the fold joins pairs it built itself, so it
-    uses the unchecked join rather than ``compose_pair``.
+    of the composition and the lower subtree the right slot: the pair of
+    the mirrored tree, labels in inorder.
     """
     _require(validate_staircase(t))
-    return trees.fold(
-        t, lambda lower, upper: _join(upper, lower), CatalanPair.empty(0)
-    )
+    return tree_to_pair(trees.fold(t, lambda lower, upper: (upper, lower), trees.EMPTY))
 
 
 def pair_for_avoidance_class(p: Permutation, pattern: str) -> CatalanPair:

@@ -1,15 +1,14 @@
-"""The three-operation node grammar and parallelogram polyominoes.
+"""Binary trees and pairs, and parallelogram polyominoes.
 
 A pair of size n decomposes recursively into a distinguished label plus
 two smaller pairs; reading that recursion as a binary tree (left = the
 S-side block, right = the R-side block) gives the ``pair_to_tree`` /
 ``tree_to_pair`` round trip used everywhere as the universal
-intermediate.
-
-``grammar_pair`` rebuilds the same pairs bottom-up from per-node rules
-keyed by which children are present (right child only, left child only,
-or both), written out directly rather than through ``compose_pair`` so
-the two routes can be checked against each other.
+intermediate.  Both directions go through the tree's preorder
+left-subtree sizes (``trees.left_sizes``): ``pair_to_tree`` reads them
+off a valid pair's bitsets, and :func:`_left_sizes_pair` builds a pair
+from them top down.  That builder is also every tree-shaped family's
+encoder (see ``encoders``).
 
 Parallelogram polyominoes (two non-touching lattice paths over N/E with
 shared endpoints) join the tree world through a column codec: column
@@ -23,23 +22,52 @@ from functools import lru_cache
 
 from . import trees
 from .errors import ParseError
-from .relations import (
-    CatalanPair,
-    Relation,
-    _join,
-    _subtree_sizes,
-    bits,
-    decompose_pair,
-)
+from .relations import CatalanPair, Relation, bits, decompose_pair
 
 
 def tree_to_pair(t: trees.Tree) -> CatalanPair:
-    """Fold a binary tree into a pair: each node composes its subtrees.
+    """The pair of a binary tree, labels in inorder.
 
-    The fold joins pairs it built itself, which are valid, so it uses the
-    unchecked join rather than ``compose_pair``.
+    Each node's left subtree S-precedes it, and the node and its left
+    subtree R-precede its right subtree: the ``compose_pair`` fold over
+    the tree, built top down in O(n) row operations.
     """
-    return trees.fold(t, _join, CatalanPair.empty(0))
+    return _left_sizes_pair(trees.left_sizes(t), inorder=True)
+
+
+def _left_sizes_pair(left_sizes: list[int], inorder: bool) -> CatalanPair:
+    """The pair of the tree with preorder *left_sizes*, built top down.
+
+    Labels are the nodes' preorder positions, or their inorder positions
+    if *inorder* is set.  A node's S row is its parent's S row, plus the
+    parent when the node is a left child.  Its R row is the R row it
+    inherits plus its own right subtree: a left child inherits its
+    parent's whole R row, a right child only what the parent inherited.
+    A subtree's labels are consecutive in either order, so each right
+    subtree is one mask, and the pair costs O(n) row operations.
+    """
+    n = len(left_sizes)
+    size = trees.subtree_sizes(left_sizes)
+    first = [0] * n  # by preorder position: lowest label in the subtree
+    s_down = [0] * n  # by position: the S row
+    r_down = [0] * n  # by position: the inherited R row
+    s_rows = [0] * n
+    r_rows = [0] * n
+    for p, a in enumerate(left_sizes):
+        b = size[p] - 1 - a
+        x = first[p] + a if inorder else first[p]
+        s_rows[x] = s_down[p]
+        r_rows[x] = r_down[p] | ((1 << b) - 1) << (first[p] + a + 1)
+        if a:
+            first[p + 1] = first[p] if inorder else x + 1
+            s_down[p + 1] = s_down[p] | 1 << x
+            r_down[p + 1] = r_rows[x]
+        if b:
+            q = p + a + 1
+            first[q] = first[p] + a + 1
+            s_down[q] = s_down[p]
+            r_down[q] = r_down[p]
+    return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
 
 
 def pair_to_tree(pair: CatalanPair) -> trees.Tree:
@@ -64,27 +92,18 @@ def _valid_pair_tree(pair: CatalanPair) -> trees.Tree:
     preorder of the tree, so a label with d L-successors sits at preorder
     position n - 1 - d.  A label's left subtree holds exactly the labels
     that S-precede it, so its size is the popcount of the label's
-    S-column.  Subtree sizes then follow top-down, and the tree is built
-    bottom-up in reverse preorder.  O(n + |S|) with no recursion; an
-    invalid pair gives a meaningless tree or an error.
+    S-column.  O(n + |S|) with no recursion; an invalid pair gives a
+    meaningless tree or an error.
     """
     n = pair.n
     s_in = [0] * n
     for row in pair.S.rows:
         for j in bits(row):
             s_in[j] += 1
-    left_size = [0] * n
+    left_sizes = [0] * n
     for i, row in enumerate(pair.R.rows):
-        left_size[n - 1 - row.bit_count() - s_in[i]] = s_in[i]
-    size = _subtree_sizes(left_size)
-    nodes: list[trees.Tree] = [trees.EMPTY] * (n + 1)
-    for p in range(n - 1, -1, -1):
-        a = left_size[p]
-        nodes[p] = (
-            nodes[p + 1] if a else trees.EMPTY,
-            nodes[p + a + 1] if size[p] - 1 - a else trees.EMPTY,
-        )
-    return nodes[0]
+        left_sizes[n - 1 - row.bit_count() - s_in[i]] = s_in[i]
+    return trees.from_left_sizes(left_sizes)
 
 
 def validate_grammar_tree(t: object) -> str | None:
@@ -94,44 +113,12 @@ def validate_grammar_tree(t: object) -> str | None:
 
 
 def grammar_pair(t: trees.Tree) -> CatalanPair:
-    """Per-node relation rules for the three ways a node can branch.
-
-    With the new label x and an existing block on labels Y:
-    right child only -> x precedes the block: R gains {(x, y): y in Y};
-    left child only  -> x follows the block:  S gains {(y, x): y in Y};
-    both children    -> x sits between them: the left block S-feeds x,
-    and both x and the left block R-feed the right block.
-    """
+    """:func:`tree_to_pair` of a binary tree checked by
+    :func:`validate_grammar_tree`; ValueError if the check fails."""
     message = validate_grammar_tree(t)
     if message is not None:
         raise ValueError(message)
-    return trees.fold(t, _grammar_join, CatalanPair.empty(0))
-
-
-def _grammar_join(left_pair: CatalanPair, right_pair: CatalanPair) -> CatalanPair:
-    k, m = left_pair.n, right_pair.n
-    n = k + m + 1
-    # lists, not generators: tuple(<genexpr>) over-allocates and resizes,
-    # which slowly fills CPython's per-size tuple freelists
-    if k == 0:
-        s_rows = [0] + [row << 1 for row in right_pair.S.rows]
-        r_rows = [((1 << m) - 1) << 1] + [row << 1 for row in right_pair.R.rows]
-    elif m == 0:
-        s_rows = [row | (1 << k) for row in left_pair.S.rows] + [0]
-        r_rows = [*left_pair.R.rows, 0]
-    else:
-        block = ((1 << m) - 1) << (k + 1)
-        s_rows = (
-            [row | (1 << k) for row in left_pair.S.rows]
-            + [0]
-            + [row << (k + 1) for row in right_pair.S.rows]
-        )
-        r_rows = (
-            [row | block for row in left_pair.R.rows]
-            + [block]
-            + [row << (k + 1) for row in right_pair.R.rows]
-        )
-    return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
+    return tree_to_pair(t)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +261,6 @@ def enumerate_polyomino(n: int) -> tuple[Polyomino, ...]:
 
 
 def encode_polyomino(value: Polyomino) -> CatalanPair:
-    message = validate_polyomino(value)
-    if message is not None:
-        raise ValueError(message)
-    return grammar_pair(polyomino_to_tree(value))
+    """The pair of the column-codec tree, labels in inorder; the value is
+    checked once, by :func:`polyomino_to_tree`."""
+    return tree_to_pair(polyomino_to_tree(value))

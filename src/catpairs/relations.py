@@ -264,9 +264,8 @@ def compose_pair(left: CatalanPair, right: CatalanPair) -> CatalanPair:
 def _join(left: CatalanPair, right: CatalanPair) -> CatalanPair:
     """:func:`compose_pair` without the operand checks.
 
-    Joining valid pairs gives a valid pair, so a fold that builds both
-    operands by joining (``grammar.tree_to_pair``, the staircase encoder)
-    needs no check at any node.
+    Joining valid pairs gives a valid pair, so a fold or ``trees.grow``
+    that builds both operands by joining needs no check at any node.
     """
     k, m = left.n, right.n
     n = k + m + 1
@@ -378,32 +377,9 @@ def _derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
         ):
             return None
         left_sizes.append(a)
-    if _subtree_sizes(left_sizes) is None:
+    if trees.subtree_sizes(left_sizes) is None:
         return None
     return tuple(order)
-
-
-def _subtree_sizes(left_sizes: list[int]) -> list[int] | None:
-    """Subtree sizes, by preorder position, of the binary tree whose
-    left subtrees have *left_sizes*; None if no tree has them.
-
-    The root's block is every position; each block splits top down into
-    its first position, a left block and a right block.  The blocks still
-    to split tile the positions not yet read, so a split that leaves no
-    negative right size reaches every position exactly once.
-    """
-    n = len(left_sizes)
-    size = [0] * (n + 1)
-    size[0] = n
-    for p, a in enumerate(left_sizes):
-        b = size[p] - 1 - a
-        if b < 0:
-            return None
-        if a:
-            size[p + 1] = a
-        if b:
-            size[p + a + 1] = b
-    return size
 
 
 @dataclass(frozen=True)

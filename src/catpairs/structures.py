@@ -84,13 +84,28 @@ def validate_matching(m: Matching) -> str | None:
             return f"arch {left}-{right} must open before it closes"
     if list(m) != sorted(m):
         return "arches must be sorted by left endpoint"
-    for a in range(n):
-        for b in range(a + 1, n):
-            l1, r1 = m[a]
-            l2, r2 = m[b]
-            if l1 < l2 < r1 < r2:
-                return f"arches {l1}-{r1} and {l2}-{r2} cross"
+    # noncrossing exactly when every right endpoint closes the innermost
+    # open arch; only a crossing matching pays for naming its first crossing
+    closes = [0] * (2 * n + 1)
+    for left, right in m:
+        closes[left] = right
+    open_ends: list[int] = []  # right endpoints of the open arches
+    for p in range(1, 2 * n + 1):
+        if closes[p]:
+            open_ends.append(closes[p])
+        elif open_ends.pop() != p:
+            return _first_crossing(m)
     return None
+
+
+def _first_crossing(m: Matching) -> str:
+    """The message for the first crossing pair of arches; *m* must have one."""
+    return next(
+        f"arches {l1}-{r1} and {l2}-{r2} cross"
+        for a, (l1, r1) in enumerate(m)
+        for l2, r2 in m[a + 1:]
+        if l1 < l2 < r1 < r2
+    )
 
 
 def parse_matching(text: str) -> Matching:
@@ -109,23 +124,6 @@ def parse_matching(text: str) -> Matching:
 
 def serialize_matching(m: Matching) -> str:
     return " ".join(f"{left}-{right}" for left, right in m)
-
-
-def dyck_to_matching(word: str) -> Matching:
-    """Pair each up step with its matching down step, 1-based positions."""
-    stack: list[int] = []
-    arches = []
-    for pos, letter in enumerate(word, start=1):
-        if letter == "U":
-            stack.append(pos)
-        else:
-            arches.append((stack.pop(), pos))
-    return tuple(sorted(arches))
-
-
-def matching_to_dyck(m: Matching) -> str:
-    opens = {left for left, _ in m}
-    return "".join("U" if p in opens else "D" for p in range(1, 2 * len(m) + 1))
 
 
 def _matching_join(inner: Matching, after: Matching) -> Matching:

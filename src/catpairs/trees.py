@@ -7,7 +7,9 @@ tree whose root has a left child only.
 
 A family built on these trees is one ``join(left, right)`` rule plus the
 value of the empty tree, which :func:`fold` and :func:`grow` apply
-without recursion.
+without recursion.  A tree is also fixed by the sizes of its left
+subtrees in preorder (:func:`left_sizes`), the form that pairs are built
+from and read back into.
 """
 
 from __future__ import annotations
@@ -56,6 +58,64 @@ def grow(n: int, join: Callable, leaf: object) -> list:
             for right in levels[m - 1 - k]
         ])
     return levels[n]
+
+
+def left_sizes(tree: Tree) -> list[int]:
+    """The size of each node's left subtree, nodes in preorder.
+
+    The list fixes the tree (see :func:`from_left_sizes`).  ``fold`` calls
+    its join in reverse preorder, so the sizes arrive reversed.
+    """
+    sizes: list[int] = []
+
+    def join(left: int, right: int) -> int:
+        sizes.append(left)
+        return left + right + 1
+
+    fold(tree, join, 0)
+    sizes.reverse()
+    return sizes
+
+
+def subtree_sizes(left_sizes: list[int]) -> list[int] | None:
+    """Subtree sizes, by preorder position, of the binary tree whose
+    left subtrees have *left_sizes*; None if no tree has them.
+
+    The root's block is every position; each block splits top down into
+    its first position, a left block and a right block.  The blocks still
+    to split tile the positions not yet read, so a split that leaves no
+    negative right size reaches every position exactly once.
+    """
+    n = len(left_sizes)
+    size = [0] * (n + 1)
+    size[0] = n
+    for p, a in enumerate(left_sizes):
+        b = size[p] - 1 - a
+        if b < 0:
+            return None
+        if a:
+            size[p + 1] = a
+        if b:
+            size[p + a + 1] = b
+    return size
+
+
+def from_left_sizes(left_sizes: list[int]) -> Tree:
+    """Inverse of :func:`left_sizes`, built bottom-up in reverse preorder.
+
+    *left_sizes* must come from a tree; other lists give a meaningless
+    tree or an error.
+    """
+    n = len(left_sizes)
+    size = subtree_sizes(left_sizes)
+    nodes: list[Tree] = [EMPTY] * (n + 1)
+    for p in range(n - 1, -1, -1):
+        a = left_sizes[p]
+        nodes[p] = (
+            nodes[p + 1] if a else EMPTY,
+            nodes[p + a + 1] if size[p] - 1 - a else EMPTY,
+        )
+    return nodes[0]
 
 
 def _dyck(left: str, right: str) -> str:

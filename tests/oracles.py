@@ -1,0 +1,231 @@
+"""Reference constructions that the package's encoders must agree with.
+
+The package derives every tree-shaped encoder from one builder
+(``grammar._left_sizes_pair``).  The functions here are the direct,
+per-family meanings of S and R, and the two bottom-up folds of pair
+composition, written without that builder so that the tests compare two
+independent routes.  Nothing here checks its input: pass valid values.
+"""
+
+from __future__ import annotations
+
+from catpairs import trees
+from catpairs.relations import CatalanPair, Relation, _join
+from catpairs.structures import Matching, Permutation, PlaneTree, Sequence
+
+
+# ----------------------------------------------------------- per family
+
+def direct_encode_matching(m: Matching) -> CatalanPair:
+    """S = strict arch inclusion, R = completely-left-of."""
+    n = len(m)
+    s_pairs = []
+    r_pairs = []
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            lx, rx = m[x]
+            ly, ry = m[y]
+            if ly < lx and rx < ry:
+                s_pairs.append((x, y))
+            elif rx < ly:
+                r_pairs.append((x, y))
+    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+
+
+def direct_encode_dyck(word: str) -> CatalanPair:
+    """Tunnels (matched U/D step pairs): S = strictly above, R = left of,
+    labels in up-step order."""
+    stack: list[int] = []
+    matched: dict[int, int] = {}
+    for pos, letter in enumerate(word):
+        if letter == "U":
+            stack.append(pos)
+        else:
+            matched[stack.pop()] = pos
+    ups = sorted(matched)
+    n = len(ups)
+    s_pairs = []
+    r_pairs = []
+    for x in range(n):
+        for y in range(n):
+            if x == y:
+                continue
+            if ups[y] < ups[x] and matched[ups[x]] < matched[ups[y]]:
+                s_pairs.append((x, y))
+            elif matched[ups[x]] < ups[y]:
+                r_pairs.append((x, y))
+    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+
+
+def direct_encode_plane_tree(t: PlaneTree) -> CatalanPair:
+    """Non-root nodes in preorder; S = proper descendant, R = left of.
+
+    A node's S row is the mask of its ancestors, built top down, and its
+    R row is every label after its own subtree.
+    """
+    parents: list[int] = []  # preorder parent label, -1 under the root
+    stack = [(child, -1) for child in reversed(t)]
+    while stack:
+        node, parent = stack.pop()
+        label = len(parents)
+        parents.append(parent)
+        stack.extend((child, label) for child in reversed(node))
+    n = len(parents)
+    size = [1] * n
+    for x in range(n - 1, -1, -1):
+        if parents[x] >= 0:
+            size[parents[x]] += size[x]
+    s_rows: list[int] = []
+    for parent in parents:
+        s_rows.append(s_rows[parent] | 1 << parent if parent >= 0 else 0)
+    everything = (1 << n) - 1
+    r_rows = [everything >> (x + size[x]) << (x + size[x]) for x in range(n)]
+    return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
+
+
+def direct_encode_seq1(s: Sequence) -> CatalanPair:
+    """a_i R a_j when i < j and a_i < a_j; a_i S a_j when j < i and a_i <= a_j."""
+    n = len(s)
+    s_pairs = []
+    r_pairs = []
+    for i in range(n):
+        for j in range(n):
+            if j < i and s[i] <= s[j]:
+                s_pairs.append((i, j))
+            elif i < j and s[i] < s[j]:
+                r_pairs.append((i, j))
+    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+
+
+def direct_encode_staircase(t: trees.Tree) -> CatalanPair:
+    """Fold of the junction-rectangle decomposition: the upper part takes
+    the left slot of the composition, the lower part the right slot."""
+    return trees.fold(
+        t, lambda lower, upper: _join(upper, lower), CatalanPair.empty(0)
+    )
+
+
+# ---------------------------------------------- binary trees, two folds
+
+def join_fold_pair(t: trees.Tree) -> CatalanPair:
+    """``tree_to_pair`` as the bottom-up fold of pair composition."""
+    return trees.fold(t, _join, CatalanPair.empty(0))
+
+
+def branch_rule_pair(t: trees.Tree) -> CatalanPair:
+    """``tree_to_pair`` from per-node rules for the three ways a node
+    can branch.
+
+    With the new label x and an existing block on labels Y:
+    right child only -> x precedes the block: R gains {(x, y): y in Y};
+    left child only  -> x follows the block:  S gains {(y, x): y in Y};
+    both children    -> x sits between them: the left block S-feeds x,
+    and both x and the left block R-feed the right block.
+    """
+    return trees.fold(t, _branch_join, CatalanPair.empty(0))
+
+
+def _branch_join(left_pair: CatalanPair, right_pair: CatalanPair) -> CatalanPair:
+    k, m = left_pair.n, right_pair.n
+    n = k + m + 1
+    if k == 0:
+        s_rows = [0] + [row << 1 for row in right_pair.S.rows]
+        r_rows = [((1 << m) - 1) << 1] + [row << 1 for row in right_pair.R.rows]
+    elif m == 0:
+        s_rows = [row | (1 << k) for row in left_pair.S.rows] + [0]
+        r_rows = [*left_pair.R.rows, 0]
+    else:
+        block = ((1 << m) - 1) << (k + 1)
+        s_rows = (
+            [row | (1 << k) for row in left_pair.S.rows]
+            + [0]
+            + [row << (k + 1) for row in right_pair.S.rows]
+        )
+        r_rows = (
+            [row | block for row in left_pair.R.rows]
+            + [block]
+            + [row << (k + 1) for row in right_pair.R.rows]
+        )
+    return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
+
+
+# ------------------------------------------------- permutation probes
+
+def perm_points(p: Permutation) -> tuple[tuple[int, int], ...]:
+    """The plane representation: one (position, value) point per entry."""
+    return tuple((i + 1, v) for i, v in enumerate(p))
+
+
+def cover_exists(
+    points: tuple[tuple[int, int], ...],
+    x: tuple[int, int],
+    y: tuple[int, int],
+) -> bool:
+    """True if some point lies left of both x and y and above both."""
+    return any(
+        c[0] < x[0] and c[0] < y[0] and c[1] > x[1] and c[1] > y[1]
+        for c in points
+    )
+
+
+def cover_pair(p: Permutation) -> CatalanPair:
+    """R = rising uncovered point pairs; S = the other position pairs.
+
+    Total over all permutations.  Its validity region is a strict subset
+    of the 321-avoiders: for p = (2, 4, 1, 3) the output S is not
+    transitive.  Wherever the output is valid it coincides with
+    ``encode_perm_321``, which is the tested relationship between the two.
+    """
+    points = perm_points(p)
+    n = len(p)
+    s_pairs = []
+    r_pairs = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            x, y = points[i], points[j]
+            if x[1] < y[1] and not cover_exists(points, x, y):
+                r_pairs.append((i, j))
+            else:
+                s_pairs.append((i, j))
+    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+
+
+# ------------------------------------------------- Dyck words, matchings
+
+def dyck_to_matching(word: str) -> Matching:
+    """Pair each up step with its matching down step, 1-based positions."""
+    stack: list[int] = []
+    arches = []
+    for pos, letter in enumerate(word, start=1):
+        if letter == "U":
+            stack.append(pos)
+        else:
+            arches.append((stack.pop(), pos))
+    return tuple(sorted(arches))
+
+
+def matching_to_dyck(m: Matching) -> str:
+    opens = {left for left, _ in m}
+    return "".join("U" if p in opens else "D" for p in range(1, 2 * len(m) + 1))
+
+
+def brute_validate_matching(m: Matching) -> str | None:
+    """``validate_matching`` with the pairwise crossing scan on every input."""
+    n = len(m)
+    endpoints = [p for arch in m for p in arch]
+    if sorted(endpoints) != list(range(1, 2 * n + 1)):
+        return f"endpoints must cover 1..{2 * n} exactly once"
+    for left, right in m:
+        if left >= right:
+            return f"arch {left}-{right} must open before it closes"
+    if list(m) != sorted(m):
+        return "arches must be sorted by left endpoint"
+    for a in range(n):
+        for b in range(a + 1, n):
+            l1, r1 = m[a]
+            l2, r2 = m[b]
+            if l1 < l2 < r1 < r2:
+                return f"arches {l1}-{r1} and {l2}-{r2} cross"
+    return None

@@ -33,7 +33,6 @@ from catpairs.encoders import (
 from catpairs.grammar import grammar_pair, tree_to_pair
 from catpairs.structures import (
     avoids,
-    dyck_to_matching,
     enumerate_seq2,
     enumerate_staircase,
     seq2_fixed_point,
@@ -41,6 +40,7 @@ from catpairs.structures import (
 )
 from catpairs import trees
 from conftest import SEVEN_R, SEVEN_S
+from oracles import branch_rule_pair, dyck_to_matching, join_fold_pair
 
 SEED = 20260823
 
@@ -209,7 +209,9 @@ def test_criterion_6_structural_identities():
     start = perf_counter()
     for n in range(9):
         for t in trees.all_trees(n):
-            assert grammar_pair(t) == tree_to_pair(t)
+            pair = tree_to_pair(t)
+            assert grammar_pair(t) == pair
+            assert branch_rule_pair(t) == pair == join_fold_pair(t)
     for n in range(9):
         for word in family("dyck").enumerate(n):
             assert family("dyck").encode(word) == family("matching").encode(

@@ -61,6 +61,19 @@ GARBAGE = {
     "polyomino": ("EN", "NE"),
 }
 
+# a second invalid value per family
+MORE_GARBAGE = {
+    "dyck": "UDU",
+    "matching": ((1, 2), (2, 3)),
+    "plane-tree": ((), 5),
+    **{tag: (1, 1) for tag in FAMILY_TAGS if tag.startswith("perm-")},
+    "seq1": (2, 3, 3),
+    "seq2": (1, 2),
+    "staircase": ((), ((),)),
+    "binary-tree": "e",
+    "polyomino": ("NE", "NE"),
+}
+
 
 # ---------------------------------------------------------------- registry
 
@@ -217,6 +230,17 @@ def test_convert_rejects_invalid_values():
         convert((3, 1, 2), "perm-312", "dyck")
     with pytest.raises(ValueError):
         convert("DU", "dyck", "seq1")
+
+
+@pytest.mark.parametrize("tag", FAMILY_TAGS)
+def test_convert_rejects_invalid_values_with_the_family_message(tag):
+    # the encoder is the only check, and it says what validate says
+    for bad in (GARBAGE[tag], MORE_GARBAGE[tag]):
+        message = family(tag).validate(bad)
+        assert message is not None
+        with pytest.raises(ValueError) as caught:
+            convert(bad, tag, "dyck")
+        assert str(caught.value) == message
 
 
 def test_convert_respects_size_cap():

@@ -12,8 +12,15 @@ import sys
 import pytest
 
 from catpairs import family, pair_to_tree, tree_to_pair, trees
-from catpairs.encoders import encode_plane_tree, encode_staircase
+from catpairs.encoders import (
+    encode_dyck,
+    encode_matching,
+    encode_plane_tree,
+    encode_seq1,
+    encode_staircase,
+)
 from catpairs.grammar import grammar_pair
+from oracles import join_fold_pair
 from test_bijections import ANALYTIC
 
 DEPTH = 1100
@@ -60,7 +67,7 @@ def test_tree_walks_return_on_deep_trees(deep):
 def test_pair_folds_return_on_deep_trees(deep):
     side, t = deep
     pair = tree_to_pair(t)
-    assert grammar_pair(t) == pair
+    assert grammar_pair(t) == pair == join_fold_pair(t)
     # == on tuples this deep recurses in C, so compare the text forms
     assert trees.serialize(pair_to_tree(pair)) == trees.serialize(t)
     # the staircase fold takes the upper part first, a mirror image
@@ -76,6 +83,22 @@ def test_plane_tree_encoder_returns_on_a_deep_chain():
     # preorder runs down the chain: every node descends from every earlier one
     assert pair.S.rows == tuple((1 << x) - 1 for x in range(DEPTH))
     assert pair.R.rows == (0,) * DEPTH
+
+
+@pytest.mark.parametrize(
+    "tag, encode",
+    [("dyck", encode_dyck), ("matching", encode_matching), ("seq1", encode_seq1)],
+)
+def test_preorder_encoders_return_on_deep_trees(tag, encode, deep):
+    side, t = deep
+    pair = encode(family(tag).assemble(t))
+    # labels run down the chain: a left chain nests every node in every
+    # earlier one, a right chain puts every node left of every later one
+    earlier = tuple((1 << x) - 1 for x in range(DEPTH))
+    later = tuple((1 << DEPTH) - (2 << x) for x in range(DEPTH))
+    none = (0,) * DEPTH
+    expected = (earlier, none) if side == "left" else (none, later)
+    assert (pair.S.rows, pair.R.rows) == expected
 
 
 def test_cli_converts_a_deep_permutation(run_cli):

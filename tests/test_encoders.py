@@ -8,8 +8,6 @@ import pytest
 
 from catpairs import CatalanPair, canonicalize, compose_pair
 from catpairs.encoders import (
-    cover_exists,
-    cover_pair,
     encode_dyck,
     encode_matching,
     encode_perm_312,
@@ -19,14 +17,12 @@ from catpairs.encoders import (
     encode_seq2,
     encode_staircase,
     pair_for_avoidance_class,
-    perm_points,
     profile_matching,
 )
 from catpairs.structures import (
     PATTERNS,
     PlaneTree,
     avoids,
-    dyck_to_matching,
     enumerate_dyck,
     enumerate_matching,
     enumerate_perm,
@@ -40,6 +36,7 @@ from catpairs.structures import (
     parse_seq2,
     profile_unmatching,
 )
+from oracles import cover_exists, cover_pair, dyck_to_matching, perm_points
 
 
 def sets(pair: CatalanPair) -> tuple[set, set]:
@@ -67,7 +64,7 @@ def test_encode_dyck_pinned_values():
 
 
 def test_dyck_and_matching_encoders_agree_label_for_label():
-    # two independently written traversals of the same nesting structure
+    # two readings of the same nesting structure: tunnel contents, arch spans
     for n in range(6):
         for word in enumerate_dyck(n):
             assert encode_dyck(word) == encode_matching(dyck_to_matching(word))

@@ -33,6 +33,7 @@ from catpairs.grammar import (
     validate_polyomino,
 )
 from conftest import random_tree
+from oracles import branch_rule_pair, join_fold_pair
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132)
 
@@ -148,10 +149,13 @@ def test_grammar_pair_pinned_branch_values():
 
 
 def test_grammar_pair_matches_fold_on_all_small_trees():
-    # the closed per-branch formulas against the recursive composition
+    # the top-down builder against the per-branch formulas and the
+    # recursive composition
     for n in range(7):
         for t in trees.all_trees(n):
-            assert grammar_pair(t) == tree_to_pair(t)
+            pair = tree_to_pair(t)
+            assert grammar_pair(t) == pair
+            assert branch_rule_pair(t) == pair == join_fold_pair(t)
 
 
 # ---------------------------------------------------------------- polyomino

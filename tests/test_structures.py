@@ -12,7 +12,6 @@ from catpairs.bijections import assemble_perm_312
 from catpairs.structures import (
     PATTERNS,
     avoids,
-    dyck_to_matching,
     enumerate_dyck,
     enumerate_matching,
     enumerate_perm,
@@ -21,7 +20,6 @@ from catpairs.structures import (
     enumerate_seq2,
     enumerate_staircase,
     inverse_perm,
-    matching_to_dyck,
     parse_dyck,
     parse_matching,
     parse_perm,
@@ -49,6 +47,7 @@ from catpairs.structures import (
     validate_staircase,
 )
 from conftest import random_tree
+from oracles import brute_validate_matching, dyck_to_matching, matching_to_dyck
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132)
 
@@ -143,6 +142,44 @@ def test_validate_matching_rejects_crossings_and_bad_endpoints():
     assert validate_matching(((1, 2), (2, 3))) is not None   # reused point
     assert validate_matching(((2, 1),)) is not None          # reversed arc
     assert validate_matching(((1, 3),)) is not None          # gap in 1..2n
+
+
+def random_matchings(rng, n):
+    """A noncrossing matching, a uniform perfect matching (crossing for
+    most n > 1) and three damaged copies of the noncrossing one: a swapped
+    pair of endpoints, a reversed arch and a reused endpoint."""
+    noncrossing = dyck_to_matching(trees.to_dyck_word(random_tree(rng, n)))
+    points = list(range(1, 2 * n + 1))
+    rng.shuffle(points)
+    uniform = tuple(sorted(
+        (min(a, b), max(a, b)) for a, b in zip(points[::2], points[1::2])
+    ))
+    yield noncrossing
+    yield uniform
+    if n < 2:
+        return
+    flat = [p for arch in noncrossing for p in arch]
+    i, j = rng.sample(range(2 * n), 2)
+    flat[i], flat[j] = flat[j], flat[i]
+    yield tuple(sorted(zip(flat[::2], flat[1::2])))
+    k = rng.randrange(n)
+    yield tuple(sorted(
+        (r, l) if a == k else (l, r) for a, (l, r) in enumerate(noncrossing)
+    ))
+    yield tuple(sorted(noncrossing[:-1] + ((noncrossing[0][0], 2 * n),)))
+
+
+def test_validate_matching_names_what_the_pairwise_scan_names():
+    # the nesting walk decides; the message must be the brute force's,
+    # including which crossing comes first
+    rng = random.Random("validate_matching")
+    messages = []
+    for n in [rng.randrange(12) for _ in range(400)] + [200, 500]:
+        for m in random_matchings(rng, n):
+            messages.append(brute_validate_matching(m))
+            assert validate_matching(m) == messages[-1], m
+    kinds = {message.split()[-1] if message else None for message in messages}
+    assert kinds == {None, "cross", "once", "closes"}
 
 
 def test_matching_text_round_trip():
