@@ -19,6 +19,11 @@ Cost model: deciding whether a pair is valid (``check_axioms``,
 ``total_order``) takes one pass over the set bits of S plus O(n) big-int
 row operations, whatever the density of R.  Only an invalid pair pays
 for the per-bit scan over both relations that names its witnesses.
+``decompose_pair`` is one such check plus O(n) row operations to find
+and cut its two blocks.  ``Relation.restrict`` takes O(k) row operations
+when its k labels form one contiguous run, as both blocks of a canonical
+pair do; a scattered label set, as on a relabelled pair, walks the
+restricted rows bit by bit.
 """
 
 from __future__ import annotations
@@ -91,8 +96,20 @@ class Relation:
         return tuple(cols)
 
     def restrict(self, labels: Iterable[int]) -> "Relation":
-        """Induced relation on *labels*, renumbered in increasing order."""
+        """Induced relation on *labels*, renumbered in increasing order.
+
+        O(k) row operations when the k labels are one run lo..hi, else one
+        pass over the set bits of their rows.
+        """
         kept = sorted(set(labels))
+        k = len(kept)
+        if k and kept[0] >= 0 and kept[-1] - kept[0] == k - 1:
+            # one run lo..hi: cut every row by shift-and-mask; the rows
+            # are listed first so the tuple is built at its exact size (a
+            # tuple grown from a generator is resized, which fragments
+            # the heap a long run allocates into)
+            lo, mask = kept[0], (1 << k) - 1
+            return Relation(k, tuple([self.rows[i] >> lo & mask for i in kept]))
         index = {old: new for new, old in enumerate(kept)}
         rows = [0] * len(kept)
         for old in kept:
@@ -288,36 +305,29 @@ def decompose_pair(pair: CatalanPair) -> tuple[int, CatalanPair, CatalanPair]:
 
     Returns (x, left, right) where x is the unique label with no
     S-successor and no R-predecessor, the left factor is induced on
-    {i : i S x} and the right factor on {j : x R j}.  A nonempty valid
-    pair always has exactly one such x; anything else raises
-    InvariantViolation.
+    {i : i S x} and the right factor on {j : x R j}.  An empty pair
+    raises ValueError and an invalid one InvariantViolation.
 
     This is the checked entry point: it runs the axiom check on *pair*.
     The factors are induced subpairs of a valid pair, and the axioms are
     statements about pairs and triples of labels, so they hold on every
     induced subpair; callers that go on decomposing the factors need not
     check them again (see ``grammar.pair_to_tree``).
+
+    After the check the split costs O(n) row operations.  The labels
+    with an empty S row are the tree's right spine, and each one's R row
+    is its own right subtree, so x is the one with the most R-successors;
+    the right block is x's R row and the left block is everything else.
     """
     if pair.n == 0:
         raise ValueError("cannot decompose an empty pair")
     _require_valid(pair, "decompose")
-    s_cols = pair.S.cols()
-    r_cols = pair.R.cols()
-    candidates = [
-        x for x in range(pair.n) if pair.S.rows[x] == 0 and r_cols[x] == 0
-    ]
-    if len(candidates) != 1:
-        raise InvariantViolation(
-            f"decompose: expected one split label, found {len(candidates)}"
-            f" ({candidates})"
-        )
-    x = candidates[0]
-    a_mask = s_cols[x]
+    x = max(
+        (i for i, row in enumerate(pair.S.rows) if not row),
+        key=lambda i: pair.R.rows[i].bit_count(),
+    )
     b_mask = pair.R.rows[x]
-    if a_mask & b_mask or a_mask | b_mask | (1 << x) != (1 << pair.n) - 1:
-        raise InvariantViolation(
-            "decompose: split label does not separate the remaining labels"
-        )
+    a_mask = ((1 << pair.n) - 1) ^ (1 << x) ^ b_mask
     left_labels = list(bits(a_mask))
     right_labels = list(bits(b_mask))
     left = CatalanPair(

@@ -420,10 +420,19 @@ def validate_seq1(s: Sequence) -> str | None:
     for i in range(1, n + 1):
         if not i <= s[i - 1] <= n:
             return f"a_{i} = {s[i - 1]} must lie in {i}..{n}"
+    # greater[i] is the first j > i with a_j > a_i (one monotonic stack);
+    # the reach i..a_i holds a larger entry iff greater[i] <= a_i, and
+    # that j is the first one a scan of the reach would meet
+    greater = [n + 1] * (n + 1)
+    stack: list[int] = []
+    for j in range(1, n + 1):
+        while stack and s[stack[-1] - 1] < s[j - 1]:
+            greater[stack.pop()] = j
+        stack.append(j)
     for i in range(1, n + 1):
-        for j in range(i, s[i - 1] + 1):
-            if s[j - 1] > s[i - 1]:
-                return f"a_{j} = {s[j - 1]} exceeds a_{i} = {s[i - 1]} inside its reach"
+        j = greater[i]
+        if j <= s[i - 1]:
+            return f"a_{j} = {s[j - 1]} exceeds a_{i} = {s[i - 1]} inside its reach"
     return None
 
 

@@ -1,16 +1,22 @@
-"""Reference constructions that the package's encoders must agree with.
+"""Reference constructions that the package's encoders, validators and
+pair calculus must agree with.
 
 The package derives every tree-shaped encoder from one builder
-(``grammar._left_sizes_pair``).  The functions here are the direct,
+(``grammar._left_sizes_pair``).  The encoders here are the direct,
 per-family meanings of S and R, and the two bottom-up folds of pair
 composition, written without that builder so that the tests compare two
-independent routes.  Nothing here checks its input: pass valid values.
+independent routes; they do not check their input, so pass valid values.
+The ``brute_validate_*`` scans and the per-bit pair split
+(``reference_restrict``, ``reference_decompose_pair``) are the quadratic
+or bit-by-bit versions that the package's linear ones replaced, with the
+same messages.
 """
 
 from __future__ import annotations
 
 from catpairs import trees
-from catpairs.relations import CatalanPair, Relation, _join
+from catpairs.errors import InvariantViolation
+from catpairs.relations import CatalanPair, Relation, _join, _require_valid, bits
 from catpairs.structures import Matching, Permutation, PlaneTree, Sequence
 
 
@@ -229,3 +235,68 @@ def brute_validate_matching(m: Matching) -> str | None:
             if l1 < l2 < r1 < r2:
                 return f"arches {l1}-{r1} and {l2}-{r2} cross"
     return None
+
+
+def brute_validate_seq1(s: Sequence) -> str | None:
+    """``validate_seq1`` scanning every reach entry by entry."""
+    n = len(s)
+    for i in range(1, n + 1):
+        if not i <= s[i - 1] <= n:
+            return f"a_{i} = {s[i - 1]} must lie in {i}..{n}"
+    for i in range(1, n + 1):
+        for j in range(i, s[i - 1] + 1):
+            if s[j - 1] > s[i - 1]:
+                return f"a_{j} = {s[j - 1]} exceeds a_{i} = {s[i - 1]} inside its reach"
+    return None
+
+
+# ------------------------------------------------------ pair splitting
+
+def reference_restrict(rel: Relation, labels) -> Relation:
+    """``Relation.restrict`` walking every kept row bit by bit."""
+    kept = sorted(set(labels))
+    index = {old: new for new, old in enumerate(kept)}
+    rows = [0] * len(kept)
+    for old in kept:
+        for j in bits(rel.rows[old]):
+            if j in index:
+                rows[index[old]] |= 1 << index[j]
+    return Relation(len(kept), tuple(rows))
+
+
+def reference_decompose_pair(
+    pair: CatalanPair,
+) -> tuple[int, CatalanPair, CatalanPair]:
+    """``decompose_pair`` from column masks, with both of its candidate
+    and separation checks, restricting through :func:`reference_restrict`."""
+    if pair.n == 0:
+        raise ValueError("cannot decompose an empty pair")
+    _require_valid(pair, "decompose")
+    s_cols = pair.S.cols()
+    r_cols = pair.R.cols()
+    candidates = [
+        x for x in range(pair.n) if pair.S.rows[x] == 0 and r_cols[x] == 0
+    ]
+    if len(candidates) != 1:
+        raise InvariantViolation(
+            f"decompose: expected one split label, found {len(candidates)}"
+            f" ({candidates})"
+        )
+    x = candidates[0]
+    a_mask = s_cols[x]
+    b_mask = pair.R.rows[x]
+    if a_mask & b_mask or a_mask | b_mask | (1 << x) != (1 << pair.n) - 1:
+        raise InvariantViolation(
+            "decompose: split label does not separate the remaining labels"
+        )
+    left_labels = list(bits(a_mask))
+    right_labels = list(bits(b_mask))
+    left = CatalanPair(
+        reference_restrict(pair.S, left_labels),
+        reference_restrict(pair.R, left_labels),
+    )
+    right = CatalanPair(
+        reference_restrict(pair.S, right_labels),
+        reference_restrict(pair.R, right_labels),
+    )
+    return x, left, right

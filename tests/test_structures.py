@@ -47,7 +47,12 @@ from catpairs.structures import (
     validate_staircase,
 )
 from conftest import random_tree
-from oracles import brute_validate_matching, dyck_to_matching, matching_to_dyck
+from oracles import (
+    brute_validate_matching,
+    brute_validate_seq1,
+    dyck_to_matching,
+    matching_to_dyck,
+)
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132)
 
@@ -377,6 +382,40 @@ def test_validate_seq1_bounds_and_reach():
     assert validate_seq1((1, 1)) is not None     # a_2 below its floor
     assert validate_seq1((2, 3, 3)) is not None  # a_2 exceeds a_1 inside reach
     assert validate_seq1((4, 2, 3)) is not None  # a_1 above n
+
+
+def test_validate_seq1_names_what_the_reach_scan_names():
+    # the next-greater stack decides; the message must be the scan's,
+    # including which broken reach comes first
+    messages = set()
+    for n in range(6):
+        for s in product(range(n + 2), repeat=n):
+            expected = brute_validate_seq1(s)
+            assert validate_seq1(s) == expected, s
+            messages.add(expected)
+    rng = random.Random("validate_seq1")
+    for _ in range(3000):
+        n = rng.randrange(1, 13)
+        if rng.random() < 0.5:
+            s = tuple(rng.randrange(n + 2) for _ in range(n))
+        else:  # inside the bounds, so only the reach can fail
+            s = tuple(rng.randint(i, n) for i in range(1, n + 1))
+        assert validate_seq1(s) == brute_validate_seq1(s), s
+    kinds = {m and ("reach" if m.endswith("reach") else "bounds") for m in messages}
+    assert kinds == {None, "reach", "bounds"}
+
+
+def test_validate_seq1_on_a_long_left_chain():
+    # every reach covers the whole tail, so the reach scan walked n²/2
+    # entries here
+    n = 4000
+    assert validate_seq1((n,) * n) is None
+    assert validate_seq1((n,) * (n - 1) + (n - 1,)) == (
+        f"a_{n} = {n - 1} must lie in {n}..{n}"
+    )
+    assert validate_seq1((n - 1,) * (n - 2) + (n, n)) == (
+        f"a_{n - 1} = {n} exceeds a_1 = {n - 1} inside its reach"
+    )
 
 
 def test_seq1_text_round_trip():

@@ -1,9 +1,10 @@
-"""The row-operation axiom check against the per-bit check it replaced.
+"""The row-operation pair kernel against the per-bit code it replaced.
 
 ``reference_check_axioms`` and ``reference_total_order`` are the per-bit
-versions, kept verbatim (the latter validates through the former).  The
-fast path must give the same report, the same order and the same
-exception text on every input.
+versions, kept verbatim (the latter validates through the former);
+``oracles.reference_decompose_pair`` and ``oracles.reference_restrict``
+split a pair from its column masks, bit by bit.  The fast paths must give
+the same report, order, factors and exception text on every input.
 """
 
 from __future__ import annotations
@@ -18,14 +19,18 @@ from catpairs import (
     CatalanPair,
     InvariantViolation,
     Relation,
+    canonicalize,
     check_axioms,
+    decompose_pair,
     enumerate_pairs,
+    pair_to_tree,
     total_order,
     tree_to_pair,
 )
-from catpairs import relations
+from catpairs import grammar, relations
 from catpairs.relations import bits, transitivity_witness
 from conftest import random_tree
+from oracles import reference_decompose_pair, reference_restrict
 
 
 def reference_check_axioms(S: Relation, R: Relation) -> AxiomReport:
@@ -183,3 +188,89 @@ def test_valid_pair_costs_one_pass_over_s(monkeypatch):
     walked = 0
     assert total_order(pair) == expected
     assert walked <= s_bits
+
+
+def split(decompose, pair: CatalanPair):
+    try:
+        return decompose(pair)
+    except (InvariantViolation, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_decompose_agrees_with_reference_on_every_small_pair():
+    rng = random.Random("decompose")
+    assert split(decompose_pair, CatalanPair.empty(0)) == split(
+        reference_decompose_pair, CatalanPair.empty(0)
+    )
+    for n in range(1, 9):
+        for canon in enumerate_pairs(n):
+            for pair in canon.pair, shuffled(rng, canon.pair):
+                expected = reference_decompose_pair(pair)
+                assert decompose_pair(pair) == expected
+
+
+def test_decompose_rejects_every_single_bit_flip_like_the_reference():
+    # a flip doubles or drops the relation between i and j, so every
+    # flipped pair is invalid
+    rng = random.Random("decompose:flip")
+    for n in range(2, 6):
+        for canon in enumerate_pairs(n):
+            pair = shuffled(rng, canon.pair)
+            for side in "SR":
+                for i in range(n):
+                    for j in range(n):
+                        if i != j:
+                            flipped = flip(pair, side, i, j)
+                            got = split(decompose_pair, flipped)
+                            assert got[0] == "InvariantViolation"
+                            assert got == split(reference_decompose_pair, flipped)
+
+
+def test_restrict_agrees_with_reference_on_runs_and_scattered_labels():
+    rng = random.Random("restrict")
+    for _ in range(300):
+        n = rng.randrange(41)
+        rel = Relation(n, tuple(
+            rng.getrandbits(n) & ~(1 << i) for i in range(n)
+        ))
+        label_sets = [[], range(n)]
+        if n:
+            lo = rng.randrange(n)
+            hi = rng.randrange(lo, n)
+            label_sets += [
+                [rng.randrange(n)],
+                range(lo, hi + 1),
+                rng.sample(range(n), rng.randrange(n + 1)),
+                [lo, hi] * 2,
+            ]
+        for labels in label_sets:
+            assert rel.restrict(labels) == reference_restrict(rel, labels)
+
+
+def test_decompose_never_walks_r(monkeypatch):
+    # at n = 500 R has about ten times as many set bits as S: the axiom
+    # check walks S once, the split walks its n - 1 block labels and the
+    # factor trees walk S once more
+    rng = random.Random("decompose:cost")
+    t = random_tree(rng, 500)
+    pair = canonicalize(tree_to_pair(t)).pair
+    expected = reference_decompose_pair(pair)
+    s_bits = sum(row.bit_count() for row in pair.S.rows)
+    r_bits = sum(row.bit_count() for row in pair.R.rows)
+    bound = 2 * s_bits + pair.n
+    assert r_bits > 2 * bound
+    walked = 0
+
+    def counting_bits(mask):
+        nonlocal walked
+        for j in bits(mask):
+            walked += 1
+            yield j
+
+    monkeypatch.setattr(relations, "bits", counting_bits)
+    monkeypatch.setattr(grammar, "bits", counting_bits)
+    assert decompose_pair(pair) == expected
+    assert walked <= bound
+    walked = 0
+    assert pair_to_tree(pair) == t
+    assert walked <= bound
