@@ -24,7 +24,7 @@ from .encoders import (
     encode_staircase,
     pair_for_avoidance_class,
 )
-from .errors import InvariantViolation, SizeLimitError
+from .errors import InvariantViolation, SizeLimitError, require
 from .grammar import pair_to_tree, tree_to_pair
 from .relations import CatalanPair, canonicalize
 
@@ -107,17 +107,11 @@ class Family:
 def _perm_family(pattern: str) -> Family:
     def parse(text: str) -> structures.Permutation:
         p = structures.parse_perm(text)
-        if not structures.avoids(p, pattern):
-            raise ValueError(f"permutation contains the pattern {pattern}")
+        require(structures.validate_avoidance(p, pattern))
         return p
 
     def validate(p: object) -> str | None:
-        message = structures.validate_perm(p)
-        if message is not None:
-            return message
-        if not structures.avoids(p, pattern):
-            return f"permutation contains the pattern {pattern}"
-        return None
+        return structures.validate_perm(p) or structures.validate_avoidance(p, pattern)
 
     def assemble(t: trees.Tree) -> structures.Permutation:
         return structures.perm_from_312(assemble_perm_312(t), pattern)

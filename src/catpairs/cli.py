@@ -188,19 +188,10 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except ParseError as exc:
+    except (ParseError, SizeLimitError, OSError) as exc:  # before ValueError
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    except SizeLimitError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except OSError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
-    except InvariantViolation as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except ValueError as exc:
+    except (InvariantViolation, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

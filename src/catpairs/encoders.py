@@ -9,18 +9,21 @@ with preorder labels (arches by left endpoint, plane-tree nodes, sequence
 positions) or inorder labels (staircases; binary trees and polyominoes
 in ``grammar``).  Each docstring states what S and R mean for its family.
 
-The permutation classes carry inversion pairs, and the second sequence
-family splits at its fixed point.  Encoders raise ValueError on invalid
-input, except ``encode_perm_312``: it is total over all permutations,
-and its output passes the pair axioms exactly when the permutation
-avoids 312.
+The second sequence family splits at its fixed point, and each side
+spells a Dyck word through its offsets from the diagonal: the same
+builder reads the prefix word with inorder labels and the suffix word
+with preorder labels.  The permutation classes carry inversion pairs.
+Encoders raise ValueError on invalid input, except ``encode_perm_312``:
+it is total over all permutations, and its output passes the pair axioms
+exactly when the permutation avoids 312.
 """
 
 from __future__ import annotations
 
 from . import trees
+from .errors import require
 from .grammar import _left_sizes_pair, tree_to_pair
-from .relations import CatalanPair, Relation
+from .relations import CatalanPair, Relation, _join
 from .structures import (
     Matching,
     Permutation,
@@ -28,12 +31,11 @@ from .structures import (
     Sequence,
     Staircase,
     apply_steps,
-    avoids,
     pattern_transform,
     profile_matching,
     seq2_fixed_point,
-    seq2_offsets,
     serialize_plane_tree,
+    validate_avoidance,
     validate_dyck,
     validate_matching,
     validate_perm,
@@ -42,11 +44,6 @@ from .structures import (
     validate_seq2,
     validate_staircase,
 )
-
-
-def _require(message: str | None) -> None:
-    if message is not None:
-        raise ValueError(message)
 
 
 def _enclosed(word: str, opening: str) -> list[int]:
@@ -70,7 +67,7 @@ def encode_matching(m: Matching) -> CatalanPair:
     Arches by left endpoint are the tree's preorder, and an arch's left
     subtree is the (r - l - 1) / 2 arches inside it.
     """
-    _require(validate_matching(m))
+    require(validate_matching(m))
     return _left_sizes_pair([(r - l - 1) // 2 for l, r in m], inorder=False)
 
 
@@ -81,7 +78,7 @@ def encode_dyck(word: str) -> CatalanPair:
     tunnels inside it; labels follow up-step order, as the arches of
     ``encode_matching`` do.
     """
-    _require(validate_dyck(word))
+    require(validate_dyck(word))
     return _left_sizes_pair(_enclosed(word, "U"), inorder=False)
 
 
@@ -93,7 +90,7 @@ def encode_plane_tree(t: PlaneTree) -> CatalanPair:
     form opens one "(" per non-root node in preorder, and a node's left
     subtree is its descendants, the nodes opened inside it.
     """
-    _require(validate_plane_tree(t))
+    require(validate_plane_tree(t))
     return _left_sizes_pair(_enclosed(serialize_plane_tree(t), "("), inorder=False)
 
 
@@ -103,7 +100,7 @@ def encode_perm_312(p: Permutation) -> CatalanPair:
     Total over all permutations: the outcome passes the pair axioms
     exactly when p avoids 312, which is a tested equivalence.
     """
-    _require(validate_perm(p))
+    require(validate_perm(p))
     return _inversion_pair(p)
 
 
@@ -138,10 +135,7 @@ def encode_perm_321(p: Permutation) -> CatalanPair:
     inversion of ``profile_matching``), and R-related when i's interval
     closes before j's opens.
     """
-    _require(validate_perm(p))
-    if not avoids(p, "321"):
-        raise ValueError("permutation contains the pattern 321")
-    return _inversion_pair(profile_matching(p))
+    return pair_for_avoidance_class(p, "321")
 
 
 def encode_seq1(s: Sequence) -> CatalanPair:
@@ -150,7 +144,7 @@ def encode_seq1(s: Sequence) -> CatalanPair:
     Positions are the tree's preorder, and a_i - i is the size of
     position i's left subtree.
     """
-    _require(validate_seq1(s))
+    require(validate_seq1(s))
     return _left_sizes_pair([a - i for i, a in enumerate(s, start=1)], inorder=False)
 
 
@@ -162,34 +156,34 @@ def encode_seq2(s: Sequence) -> CatalanPair:
     fall to R, as do all offset-nondecreasing pairs.  Everything before f
     is R-related to everything after.  Above f the same scheme runs
     mirrored (S points backwards, first copy replaced by last).
+
+    Each side is a Dyck word read off its offsets.  The prefix word steps
+    down from height a_y - y, for each y < f in order, and its tree takes
+    inorder labels; the suffix word's up steps reach height z - a_z, for
+    each z > f in order, and its tree takes preorder labels.  f joins the
+    two halves.
     """
-    _require(validate_seq2(s))
-    n = len(s)
-    if n == 0:
+    require(validate_seq2(s))
+    if not s:
         return CatalanPair.empty(0)
     f = seq2_fixed_point(s)
-    off = seq2_offsets(s)
-    s_pairs = []
-    r_pairs = []
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            if j <= f:
-                if off[i - 1] > off[j - 1] and not any(
-                    off[w - 1] == off[j - 1] for w in range(i + 1, j)
-                ):
-                    s_pairs.append((i - 1, j - 1))
-                else:
-                    r_pairs.append((i - 1, j - 1))
-            elif i <= f:
-                r_pairs.append((i - 1, j - 1))
-            else:
-                if off[i - 1] < off[j - 1] and not any(
-                    off[w - 1] == off[i - 1] for w in range(i + 1, j)
-                ):
-                    s_pairs.append((j - 1, i - 1))
-                else:
-                    r_pairs.append((i - 1, j - 1))
-    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+    prefix = []
+    height = 0
+    for y in range(1, f):
+        offset = s[y - 1] - y
+        prefix.append("U" * (offset - height) + "D")
+        height = offset - 1
+    suffix = []
+    height = 0
+    for z in range(f + 1, len(s) + 1):
+        offset = z - s[z - 1]
+        suffix.append("D" * (height - offset + 1) + "U")
+        height = offset
+    suffix.append("D" * height)
+    return _join(
+        _left_sizes_pair(_enclosed("".join(prefix), "U"), inorder=True),
+        _left_sizes_pair(_enclosed("".join(suffix), "U"), inorder=False),
+    )
 
 
 def encode_staircase(t: Staircase) -> CatalanPair:
@@ -200,7 +194,7 @@ def encode_staircase(t: Staircase) -> CatalanPair:
     of the composition and the lower subtree the right slot: the pair of
     the mirrored tree, labels in inorder.
     """
-    _require(validate_staircase(t))
+    require(validate_staircase(t))
     return tree_to_pair(trees.fold(t, lambda lower, upper: (upper, lower), trees.EMPTY))
 
 
@@ -212,9 +206,7 @@ def pair_for_avoidance_class(p: Permutation, pattern: str) -> CatalanPair:
     runs once, here: the symmetries carry members onto members of the base
     class, so the base construction needs no second check.
     """
-    _require(validate_perm(p))
+    require(validate_perm(p) or validate_avoidance(p, pattern))
     steps, base = pattern_transform(pattern)
-    if not avoids(p, pattern):
-        raise ValueError(f"permutation contains the pattern {pattern}")
     q = apply_steps(p, steps)
     return _inversion_pair(q if base == "312" else profile_matching(q))

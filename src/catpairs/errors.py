@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one helper that
+turns a validator's message into a ValueError."""
 
 
 class ParseError(ValueError):
@@ -13,3 +14,9 @@ class InvariantViolation(Exception):
 class SizeLimitError(Exception):
     """Raised when an operation would require tabulating structures beyond
     the configured size cap."""
+
+
+def require(message: str | None) -> None:
+    """Raise ValueError(*message*) unless a validator returned None."""
+    if message is not None:
+        raise ValueError(message)

@@ -21,7 +21,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from . import trees
-from .errors import ParseError
+from .errors import ParseError, require
 from .relations import CatalanPair, Relation, bits, decompose_pair
 
 
@@ -115,9 +115,7 @@ def validate_grammar_tree(t: object) -> str | None:
 def grammar_pair(t: trees.Tree) -> CatalanPair:
     """:func:`tree_to_pair` of a binary tree checked by
     :func:`validate_grammar_tree`; ValueError if the check fails."""
-    message = validate_grammar_tree(t)
-    if message is not None:
-        raise ValueError(message)
+    require(validate_grammar_tree(t))
     return tree_to_pair(t)
 
 
@@ -147,8 +145,10 @@ def validate_polyomino(value: object) -> str | None:
         return "paths must end at the same point"
     if upper == lower:
         return "paths must be distinct"
-    for t in range(1, len(upper)):
-        if upper[:t].count("N") <= lower[:t].count("N"):
+    above = 0  # N steps of upper's first t steps, less those of lower's
+    for t, (a, b) in enumerate(zip(upper[:-1], lower[:-1]), start=1):
+        above += (a == "N") - (b == "N")
+        if above <= 0:
             return f"paths touch after {t} steps, before the endpoint"
     return None
 
@@ -160,9 +160,7 @@ def parse_polyomino(text: str) -> Polyomino:
     if any(c not in "NE" for part in parts for c in part):
         raise ParseError("paths may only use the letters N and E")
     value = (parts[0], parts[1])
-    message = validate_polyomino(value)
-    if message is not None:
-        raise ValueError(message)
+    require(validate_polyomino(value))
     return value
 
 
@@ -194,9 +192,7 @@ def polyomino_to_tree(value: Polyomino) -> trees.Tree:
     word U^h_1 [D^(h_i-s_i+1) U^(h_{i+1}-s_i+1)]... D^h_w is balanced
     with one U per size unit, and its first-return tree is the result.
     """
-    message = validate_polyomino(value)
-    if message is not None:
-        raise ValueError(message)
+    require(validate_polyomino(value))
     if value == EMPTY_POLYOMINO:
         return trees.EMPTY
     tops = _heights_before_east(value[0])

@@ -27,7 +27,7 @@ from math import inf
 from typing import Iterable
 
 from . import trees
-from .errors import ParseError
+from .errors import ParseError, require
 
 # ---------------------------------------------------------------------------
 # Dyck words
@@ -53,9 +53,7 @@ def parse_dyck(text: str) -> str:
     word = text.strip()
     if any(letter not in "UD" for letter in word):
         raise ParseError("a Dyck word may only contain the letters U and D")
-    message = validate_dyck(word)
-    if message is not None:
-        raise ValueError(message)
+    require(validate_dyck(word))
     return word
 
 
@@ -116,9 +114,7 @@ def parse_matching(text: str) -> Matching:
             raise ParseError(f"token {token!r} is not of the form <l>-<r>")
         arches.append((int(left), int(right)))
     value = tuple(sorted(arches))
-    message = validate_matching(value)
-    if message is not None:
-        raise ValueError(message)
+    require(validate_matching(value))
     return value
 
 
@@ -227,9 +223,7 @@ def parse_perm(text: str) -> Permutation:
     if not all(token.isdigit() for token in tokens):
         raise ParseError("a permutation is a list of positive integers")
     value = tuple(int(token) for token in tokens)
-    message = validate_perm(value)
-    if message is not None:
-        raise ValueError(message)
+    require(validate_perm(value))
     return value
 
 
@@ -299,6 +293,13 @@ def avoids(p: Permutation, pattern: str) -> bool:
     if negate:
         seq = (-x for x in seq)
     return base(seq)
+
+
+def validate_avoidance(p: Permutation, pattern: str) -> str | None:
+    """The class check of a permutation family: None when *p* avoids *pattern*."""
+    if not avoids(p, pattern):
+        return f"permutation contains the pattern {pattern}"
+    return None
 
 
 def inverse_perm(p: Permutation) -> Permutation:
@@ -445,9 +446,7 @@ def _parse_sequence(text: str) -> Sequence:
 
 def parse_seq1(text: str) -> Sequence:
     value = _parse_sequence(text)
-    message = validate_seq1(value)
-    if message is not None:
-        raise ValueError(message)
+    require(validate_seq1(value))
     return value
 
 
@@ -485,9 +484,7 @@ def validate_seq2(s: Sequence) -> str | None:
 
 def parse_seq2(text: str) -> Sequence:
     value = _parse_sequence(text)
-    message = validate_seq2(value)
-    if message is not None:
-        raise ValueError(message)
+    require(validate_seq2(value))
     return value
 
 
@@ -497,14 +494,6 @@ def seq2_fixed_point(s: Sequence) -> int:
     if len(fixed) != 1:
         raise ValueError(f"expected exactly one fixed point, found {len(fixed)}")
     return fixed[0]
-
-
-def seq2_offsets(s: Sequence) -> Sequence:
-    """Distance from the diagonal: a_y - y up to the fixed point, z - a_z after."""
-    f = seq2_fixed_point(s)
-    return tuple(
-        s[i - 1] - i if i <= f else i - s[i - 1] for i in range(1, len(s) + 1)
-    )
 
 
 @lru_cache(maxsize=None)

@@ -17,7 +17,14 @@ from __future__ import annotations
 from catpairs import trees
 from catpairs.errors import InvariantViolation
 from catpairs.relations import CatalanPair, Relation, _join, _require_valid, bits
-from catpairs.structures import Matching, Permutation, PlaneTree, Sequence
+from catpairs.grammar import EMPTY_POLYOMINO
+from catpairs.structures import (
+    Matching,
+    Permutation,
+    PlaneTree,
+    Sequence,
+    seq2_fixed_point,
+)
 
 
 # ----------------------------------------------------------- per family
@@ -102,6 +109,45 @@ def direct_encode_seq1(s: Sequence) -> CatalanPair:
                 s_pairs.append((i, j))
             elif i < j and s[i] < s[j]:
                 r_pairs.append((i, j))
+    return CatalanPair.from_pairs(n, s_pairs, r_pairs)
+
+
+def seq2_offsets(s: Sequence) -> Sequence:
+    """Distance from the diagonal: a_y - y up to the fixed point, z - a_z after."""
+    f = seq2_fixed_point(s)
+    return tuple(
+        s[i - 1] - i if i <= f else i - s[i - 1] for i in range(1, len(s) + 1)
+    )
+
+
+def direct_encode_seq2(s: Sequence) -> CatalanPair:
+    """Relations over the diagonal offsets, split at the fixed point f;
+    the quadratic pair list with the cubic first-copy scan."""
+    n = len(s)
+    if n == 0:
+        return CatalanPair.empty(0)
+    f = seq2_fixed_point(s)
+    off = seq2_offsets(s)
+    s_pairs = []
+    r_pairs = []
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            if j <= f:
+                if off[i - 1] > off[j - 1] and not any(
+                    off[w - 1] == off[j - 1] for w in range(i + 1, j)
+                ):
+                    s_pairs.append((i - 1, j - 1))
+                else:
+                    r_pairs.append((i - 1, j - 1))
+            elif i <= f:
+                r_pairs.append((i - 1, j - 1))
+            else:
+                if off[i - 1] < off[j - 1] and not any(
+                    off[w - 1] == off[i - 1] for w in range(i + 1, j)
+                ):
+                    s_pairs.append((j - 1, i - 1))
+                else:
+                    r_pairs.append((i - 1, j - 1))
     return CatalanPair.from_pairs(n, s_pairs, r_pairs)
 
 
@@ -247,6 +293,31 @@ def brute_validate_seq1(s: Sequence) -> str | None:
         for j in range(i, s[i - 1] + 1):
             if s[j - 1] > s[i - 1]:
                 return f"a_{j} = {s[j - 1]} exceeds a_{i} = {s[i - 1]} inside its reach"
+    return None
+
+
+def brute_validate_polyomino(value: object) -> str | None:
+    """``validate_polyomino`` recounting the N steps of every prefix."""
+    if (
+        not isinstance(value, tuple)
+        or len(value) != 2
+        or not all(isinstance(w, str) for w in value)
+    ):
+        return "expected a pair (upper word, lower word)"
+    upper, lower = value
+    if value == EMPTY_POLYOMINO:
+        return None
+    if any(c not in "NE" for c in upper + lower):
+        return "paths may only use the letters N and E"
+    if len(upper) != len(lower):
+        return "upper and lower paths must have the same length"
+    if upper.count("N") != lower.count("N"):
+        return "paths must end at the same point"
+    if upper == lower:
+        return "paths must be distinct"
+    for t in range(1, len(upper)):
+        if upper[:t].count("N") <= lower[:t].count("N"):
+            return f"paths touch after {t} steps, before the endpoint"
     return None
 
 

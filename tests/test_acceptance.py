@@ -36,11 +36,10 @@ from catpairs.structures import (
     enumerate_seq2,
     enumerate_staircase,
     seq2_fixed_point,
-    seq2_offsets,
 )
 from catpairs import trees
 from conftest import SEVEN_R, SEVEN_S
-from oracles import branch_rule_pair, dyck_to_matching, join_fold_pair
+from oracles import branch_rule_pair, dyck_to_matching, join_fold_pair, seq2_offsets
 
 SEED = 20260823
 

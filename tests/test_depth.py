@@ -17,6 +17,7 @@ from catpairs.encoders import (
     encode_matching,
     encode_plane_tree,
     encode_seq1,
+    encode_seq2,
     encode_staircase,
 )
 from catpairs.grammar import grammar_pair
@@ -98,6 +99,20 @@ def test_preorder_encoders_return_on_deep_trees(tag, encode, deep):
     later = tuple((1 << DEPTH) - (2 << x) for x in range(DEPTH))
     none = (0,) * DEPTH
     expected = (earlier, none) if side == "left" else (none, later)
+    assert (pair.S.rows, pair.R.rows) == expected
+
+
+def test_seq2_encoder_returns_on_deep_trees(deep):
+    side, _ = deep
+    # a left chain is all prefix: a_y = DEPTH, the fixed point last; a
+    # right chain is all suffix: a_1 = 1, then a_z = z - 1
+    value = (DEPTH,) * DEPTH if side == "left" else (1, *range(1, DEPTH))
+    pair = encode_seq2(value)
+    # each prefix node S-precedes all its ancestors, the later labels; each
+    # suffix node R-precedes every later label
+    later = tuple((1 << DEPTH) - (2 << x) for x in range(DEPTH))
+    none = (0,) * DEPTH
+    expected = (later, none) if side == "left" else (none, later)
     assert (pair.S.rows, pair.R.rows) == expected
 
 

@@ -1,7 +1,8 @@
 """Encoders derived from the join rules, against direct constructions.
 
 Every tree-shaped encoder reads a value's left-subtree sizes and builds
-the pair from them with one builder (``grammar._left_sizes_pair``).  The
+the pair from them with one builder (``grammar._left_sizes_pair``); seq2
+builds each side of its fixed point that way and joins the halves.  The
 oracles build the same labelled pairs without it: the per-family S/R
 rules and the two bottom-up folds of pair composition.
 """
@@ -13,12 +14,21 @@ import random
 import pytest
 
 import oracles
-from catpairs import family, grammar, relations, tree_to_pair
+from catpairs import (
+    canonicalize,
+    family,
+    grammar,
+    pair_to_tree,
+    relations,
+    tree_to_pair,
+    trees,
+)
 from catpairs.encoders import (
     encode_dyck,
     encode_matching,
     encode_plane_tree,
     encode_seq1,
+    encode_seq2,
     encode_staircase,
 )
 from catpairs.grammar import encode_polyomino, grammar_pair, polyomino_to_tree
@@ -43,7 +53,15 @@ ROUTES = [
 ROUTE_IDS = [f"{tag}-{encode.__name__}" for tag, encode, _ in ROUTES]
 
 
-@pytest.mark.parametrize("tag, encode, oracle", ROUTES, ids=ROUTE_IDS)
+# seq2 has no assembler and a cubic oracle: small values only
+SEQ2_ROUTE = ("seq2", encode_seq2, oracles.direct_encode_seq2)
+
+
+@pytest.mark.parametrize(
+    "tag, encode, oracle",
+    ROUTES + [SEQ2_ROUTE],
+    ids=ROUTE_IDS + ["seq2-encode_seq2"],
+)
 def test_derived_encoder_equals_oracle_on_every_small_value(tag, encode, oracle):
     for n in range(10):
         for value in family(tag).enumerate(n):
@@ -60,12 +78,50 @@ def test_derived_encoder_equals_oracle_on_random_values(tag, encode, oracle, n):
     assert pair == oracle(value)
 
 
+def seq2_from_tree(t):
+    """The seq2 value whose pair has shape *t*.
+
+    The root is the fixed point f.  The left subtree fixes the prefix
+    offsets c_y = a_y - y through the join (A + 1) . 1 . B, the right
+    subtree the suffix offsets d_z = z - a_z through 1 . (A + 1) . B, and
+    a_y = y + c_y before f, a_f = f, a_z = z - d_z after it.
+    """
+    left, right = t
+    c = trees.fold(left, lambda a, b: (*[x + 1 for x in a], 1, *b), ())
+    d = trees.fold(right, lambda a, b: (1, *[x + 1 for x in a], *b), ())
+    f = len(c) + 1
+    return (
+        *[y + cy for y, cy in enumerate(c, start=1)],
+        f,
+        *[z - dz for z, dz in enumerate(d, start=f + 1)],
+    )
+
+
+def test_seq2_encoder_equals_oracle_on_random_values():
+    # the oracle scans cubically, so n stays at 500
+    rng = random.Random("derived:seq2:500")
+    for _ in range(2):
+        value = seq2_from_tree(random_tree(rng, 500))
+        assert family("seq2").validate(value) is None
+        assert encode_seq2(value) == oracles.direct_encode_seq2(value)
+
+
+def test_seq2_encoder_reads_the_shape_of_large_values():
+    rng = random.Random("derived:seq2:2000")
+    t = random_tree(rng, 2000)
+    value = seq2_from_tree(t)
+    assert family("seq2").validate(value) is None
+    shape = pair_to_tree(canonicalize(encode_seq2(value)).pair)
+    assert trees.serialize(shape) == trees.serialize(t)
+
+
 def test_derived_encoders_take_no_per_bit_pass(monkeypatch):
     # the builder works on whole rows: it never lists pairs and never
     # walks the bits of a row, whatever the density of S and R
     rng = random.Random("derived:cost")
     t = random_tree(rng, 500)
     values = [(encode, family(tag).assemble(t)) for tag, encode, _ in ROUTES]
+    values.append((encode_seq2, seq2_from_tree(random_tree(rng, 500))))
     walked = []
     real_bits = relations.bits
 

@@ -33,7 +33,7 @@ from catpairs.grammar import (
     validate_polyomino,
 )
 from conftest import random_tree
-from oracles import branch_rule_pair, join_fold_pair
+from oracles import branch_rule_pair, brute_validate_polyomino, join_fold_pair
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132)
 
@@ -174,6 +174,46 @@ def test_validate_polyomino_rejects_shape_errors():
     assert validate_polyomino(("NE", "ENN")) is not None    # length mismatch
     assert validate_polyomino(("EN", "NE")) is not None     # paths cross
     assert validate_polyomino(("NENE", "ENEN")) is not None # paths touch inside
+
+
+def test_validate_polyomino_names_what_the_prefix_recount_names():
+    # the running count decides; the message must be the recount's,
+    # including the first step at which the paths touch
+    messages = set()
+    for length in range(7):
+        words = ["".join(w) for w in product("NE", repeat=length)]
+        for value in product(words, repeat=2):
+            expected = brute_validate_polyomino(value)
+            assert validate_polyomino(value) == expected, value
+            messages.add(expected)
+    rng = random.Random("validate_polyomino")
+    for _ in range(2000):
+        n = rng.randrange(1, 40)
+        upper, lower = tree_to_polyomino(random_tree(rng, n))
+        kind = rng.randrange(3)
+        if kind == 1:  # touching or crossing: swap one letter pair
+            t = rng.randrange(len(upper) - 1)
+            upper = upper[:t] + upper[t + 1] + upper[t] + upper[t + 2:]
+        elif kind == 2:  # any two walks with the same end point
+            steps = list(upper)
+            rng.shuffle(steps)
+            upper = "".join(steps)
+        value = (upper, lower)
+        expected = brute_validate_polyomino(value)
+        assert validate_polyomino(value) == expected, value
+        messages.add(expected)
+    kinds = {message.split()[-1] if message else None for message in messages}
+    assert kinds == {None, "endpoint", "distinct", "point"}
+
+
+def test_validate_polyomino_on_a_long_value():
+    value = tree_to_polyomino(random_tree(random.Random("polyomino:20000"), 20000))
+    assert validate_polyomino(value) is None
+    upper, lower = value
+    last_n = upper.rindex("N")  # moved to the end, the paths touch late
+    touching = (upper[:last_n] + upper[last_n + 1:] + "N", lower)
+    assert validate_polyomino(touching) == brute_validate_polyomino(touching)
+    assert validate_polyomino(touching).startswith("paths touch after")
 
 
 def test_polyomino_text_round_trip():

@@ -32,7 +32,6 @@ from catpairs.structures import (
     plane_tree_size,
     reverse_perm,
     seq2_fixed_point,
-    seq2_offsets,
     serialize_matching,
     serialize_perm,
     serialize_plane_tree,
@@ -52,6 +51,7 @@ from oracles import (
     brute_validate_seq1,
     dyck_to_matching,
     matching_to_dyck,
+    seq2_offsets,
 )
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132)
