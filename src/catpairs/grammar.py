@@ -168,11 +168,6 @@ def serialize_polyomino(value: Polyomino) -> str:
     return f"{value[0]};{value[1]}"
 
 
-def polyomino_size(value: Polyomino) -> int:
-    """Semi-perimeter minus one, i.e. path length minus one."""
-    return max(len(value[0]) - 1, 0)
-
-
 def _heights_before_east(word: str) -> tuple[int, ...]:
     """Number of N steps seen before each E step."""
     heights = []

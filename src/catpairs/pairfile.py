@@ -11,24 +11,72 @@ blank lines are ignored on input.  Example::
 ParseError flags malformed text (bad header, bad tokens, duplicates);
 ValueError flags well-formed text with impossible labels (out of range or
 on the diagonal).
+
+Cost model: ``serialize_pair`` formats each line straight from the rows.
+``parse_pair`` reads the text ``serialize_pair`` writes (in any line
+order) in bulk: one regex scan, one split and one row operation per line.
+Any other text, including every text with an error, goes through a line
+loop that names the first bad line; only that loop accepts blank lines,
+other spacing, other line ends or non-ASCII decimal labels.
 """
 
 from __future__ import annotations
 
+import operator
+import re
+
 from .errors import ParseError
-from .relations import CatalanPair
+from .relations import CatalanPair, Relation, bits
+
+# The text serialize_pair writes: ASCII labels without leading zeros, one
+# space between tokens, every line ending in "\n".
+_SERIALIZED = re.compile(
+    r"n (?:0|[1-9][0-9]*)\n(?:[SR] [1-9][0-9]* [1-9][0-9]*\n)*"
+)
 
 
 def serialize_pair(pair: CatalanPair) -> str:
-    lines = [f"n {pair.n}"]
-    for name, relation in (("S", pair.S), ("R", pair.R)):
-        lines.extend(
-            sorted(f"{name} {i + 1} {j + 1}" for i, j in relation.pairs)
-        )
-    return "\n".join(lines) + "\n"
+    n = pair.n
+    label = [str(k) for k in range(n + 1)]
+    # Lines sort as text, so "S 10 1" comes before "S 2 1": order the row
+    # labels by their decimal strings, then each row's column labels.
+    order = sorted(range(1, n + 1), key=label.__getitem__)
+    lines = [f"n {n}"]
+    for name, rows in (("S", pair.S.rows), ("R", pair.R.rows)):
+        for i in order:
+            if rows[i - 1]:
+                head = f"{name} {label[i]} "
+                tails = sorted([label[j] for j in bits(rows[i - 1] << 1)])
+                lines += [head + tail for tail in tails]
+    lines.append("")
+    return "\n".join(lines)
 
 
 def parse_pair(text: str) -> CatalanPair:
+    if _SERIALIZED.fullmatch(text):
+        tokens = text.split()
+        n = int(tokens[1])
+        names = tokens[2::3]
+        heads = list(map(int, tokens[3::3]))
+        tails = list(map(int, tokens[4::3]))
+        if (
+            max(heads, default=0) <= n
+            and max(tails, default=0) <= n
+            and not any(map(operator.eq, heads, tails))
+        ):
+            # rows and bits indexed by the 1-based labels; label 0 is cut off
+            rows = {"S": [0] * (n + 1), "R": [0] * (n + 1)}
+            for name, i, j in zip(names, heads, tails):
+                rows[name][i] |= 1 << j
+            S, R = (tuple([row >> 1 for row in rows[name][1:]]) for name in "SR")
+            # a repeated line sets no new bit
+            if sum(map(int.bit_count, S + R)) == len(names):
+                return CatalanPair(Relation(n, S), Relation(n, R))
+    return _parse_lines(text)
+
+
+def _parse_lines(text: str) -> CatalanPair:
+    """Line by line, naming the first bad line."""
     n: int | None = None
     pairs: dict[str, list[tuple[int, int]]] = {"S": [], "R": []}
     seen: set[tuple[str, int, int]] = set()
@@ -37,7 +85,7 @@ def parse_pair(text: str) -> CatalanPair:
         if not tokens:
             continue
         if n is None:
-            if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdigit():
+            if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdecimal():
                 raise ParseError(f"line {lineno}: expected header 'n <size>'")
             n = int(tokens[1])
             continue

@@ -155,11 +155,6 @@ def validate_plane_tree(t: object) -> str | None:
     return None
 
 
-def plane_tree_size(t: PlaneTree) -> int:
-    """Number of edges."""
-    return len(serialize_plane_tree(t)) // 2
-
-
 def serialize_plane_tree(t: PlaneTree) -> str:
     out = []
     stack: list = [t]  # subtrees still to write, and their closing ")"

@@ -9,7 +9,9 @@ independent routes; they do not check their input, so pass valid values.
 The ``brute_validate_*`` scans and the per-bit pair split
 (``reference_restrict``, ``reference_decompose_pair``) are the quadratic
 or bit-by-bit versions that the package's linear ones replaced, with the
-same messages.
+same messages.  ``reference_serialize_pair`` writes the pair file by
+sorting every line as text, and the size helpers at the end have no use
+in the package.
 """
 
 from __future__ import annotations
@@ -17,13 +19,14 @@ from __future__ import annotations
 from catpairs import trees
 from catpairs.errors import InvariantViolation
 from catpairs.relations import CatalanPair, Relation, _join, _require_valid, bits
-from catpairs.grammar import EMPTY_POLYOMINO
+from catpairs.grammar import EMPTY_POLYOMINO, Polyomino
 from catpairs.structures import (
     Matching,
     Permutation,
     PlaneTree,
     Sequence,
     seq2_fixed_point,
+    serialize_plane_tree,
 )
 
 
@@ -371,3 +374,26 @@ def reference_decompose_pair(
         reference_restrict(pair.R, right_labels),
     )
     return x, left, right
+
+
+# ------------------------------------------------------------ pair files
+
+def reference_serialize_pair(pair: CatalanPair) -> str:
+    """``serialize_pair`` listing every related pair and sorting the lines
+    of each relation as text."""
+    lines = [f"n {pair.n}"]
+    for name, relation in (("S", pair.S), ("R", pair.R)):
+        lines.extend(sorted(f"{name} {i + 1} {j + 1}" for i, j in relation.pairs))
+    return "\n".join(lines) + "\n"
+
+
+# ----------------------------------------------------------------- sizes
+
+def plane_tree_size(t: PlaneTree) -> int:
+    """Number of edges."""
+    return len(serialize_plane_tree(t)) // 2
+
+
+def polyomino_size(value: Polyomino) -> int:
+    """Semi-perimeter minus one, i.e. path length minus one."""
+    return max(len(value[0]) - 1, 0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 
 # ------------------------------------------------------------------ verify
 
@@ -177,6 +179,14 @@ def test_decompose_rejects_broken_pairs(run_cli):
     code, _, err = run_cli(["decompose", "--stdin"], stdin="n 2\n")
     assert code == 2
     assert "axiom" in err
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_non_decimal_header_size_is_unparsable(run_cli, command):
+    code, out, err = run_cli([command, "--stdin"], stdin="n ²\n")
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 1: expected header 'n <size>'\n"
 
 
 # ------------------------------------------------------------------- misc

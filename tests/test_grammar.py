@@ -25,7 +25,6 @@ from catpairs.grammar import (
     enumerate_polyomino,
     grammar_pair,
     parse_polyomino,
-    polyomino_size,
     polyomino_to_tree,
     serialize_polyomino,
     tree_to_polyomino,
@@ -33,7 +32,12 @@ from catpairs.grammar import (
     validate_polyomino,
 )
 from conftest import random_tree
-from oracles import branch_rule_pair, brute_validate_polyomino, join_fold_pair
+from oracles import (
+    branch_rule_pair,
+    brute_validate_polyomino,
+    join_fold_pair,
+    polyomino_size,
+)
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132)
 

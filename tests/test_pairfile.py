@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import random
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from catpairs import (
     CatalanPair,
     ParseError,
     enumerate_pairs,
     parse_pair,
+    pairfile,
     serialize_pair,
+    tree_to_pair,
 )
+from catpairs.relations import Relation
+from conftest import random_tree
+from oracles import reference_serialize_pair
 
 
 def test_serialize_layout_is_header_s_then_r():
@@ -31,11 +40,124 @@ def test_lines_sorted_as_strings_within_each_relation():
 
 
 def test_parse_inverts_serialize_for_all_small_pairs():
-    for n in range(6):
+    for n in range(7):
         for canon in enumerate_pairs(n):
             text = serialize_pair(canon.pair)
+            assert text == reference_serialize_pair(canon.pair)
             assert parse_pair(text) == canon.pair
             assert serialize_pair(parse_pair(text)) == text
+
+
+def relabelled_random_pair(rng: random.Random, n: int) -> CatalanPair:
+    image = list(range(n))
+    rng.shuffle(image)
+    return tree_to_pair(random_tree(rng, n)).relabel(image)
+
+
+def test_round_trips_relabelled_random_pairs_byte_for_byte():
+    rng = random.Random(12)
+    for _ in range(3):
+        pair = relabelled_random_pair(rng, 500)
+        text = serialize_pair(pair)
+        assert text == reference_serialize_pair(pair)
+        assert parse_pair(text) == pair == pairfile._parse_lines(text)
+        assert serialize_pair(parse_pair(text)) == text
+
+
+def test_serialized_text_never_takes_the_line_loop(monkeypatch):
+    # cost guard: writing and reading a pair file are row operations, so
+    # neither lists the related pairs nor falls back to the line loop
+    pair = relabelled_random_pair(random.Random(13), 200)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("per-pair path taken")
+
+    monkeypatch.setattr(pairfile, "_parse_lines", refuse)
+    monkeypatch.setattr(Relation, "from_pairs", classmethod(refuse))
+    monkeypatch.setattr(Relation, "pairs", property(refuse))
+    assert parse_pair(serialize_pair(pair)) == pair
+
+
+def outcome(parse, text):
+    """The parsed pair, or the class and message of the error raised."""
+    try:
+        return parse(text)
+    except ValueError as exc:  # ParseError included
+        return type(exc), str(exc)
+
+
+# Text over the format's alphabet.  A run of four or more digits could
+# declare a header size that allocates without bound, so none is drawn.
+format_texts = st.text(alphabet="nSR 0123456789\n\r\t²١", max_size=40).filter(
+    lambda text: not any(run.isdecimal() and len(run) > 3 for run in text.split())
+)
+
+
+EDITS = (
+    "drop", "duplicate", "swap", "token", "diagonal",
+    "blank", "spaces", "crlf", "no-final",
+)
+ODD_LABELS = ("0", "01", "²", "١", "-1", "x")
+
+
+@st.composite
+def mutated_files(draw):
+    """A serialized relabelled pair with one to three edits of its lines."""
+    canon = draw(st.sampled_from(enumerate_pairs(draw(st.integers(0, 5)))))
+    image = draw(st.permutations(range(canon.pair.n)))
+    lines = serialize_pair(canon.pair.relabel(image)).splitlines()
+    final = "\n"
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        k = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(EDITS))
+        tokens = lines[k].split()
+        if edit == "drop":
+            del lines[k]
+        elif edit == "duplicate":
+            lines.insert(k, lines[k])
+        elif edit == "swap":
+            m = draw(st.integers(0, len(lines) - 1))
+            lines[k], lines[m] = lines[m], lines[k]
+        elif edit == "token" and tokens:
+            spot = draw(st.integers(0, len(tokens) - 1))
+            label = draw(st.sampled_from(ODD_LABELS + ("n+1", "S", "R", "n")))
+            tokens[spot] = str(canon.pair.n + 1) if label == "n+1" else label
+            lines[k] = " ".join(tokens)
+        elif edit == "diagonal" and len(tokens) == 3:
+            tokens[2] = tokens[1]
+            lines[k] = " ".join(tokens)
+        elif edit == "blank":
+            lines.insert(k, draw(st.sampled_from(["", " ", "\t"])))
+        elif edit == "spaces":
+            lines[k] = draw(st.sampled_from(["", " "])) + lines[k].replace(" ", "  ")
+        elif edit == "crlf":
+            lines[k] += "\r"
+        elif edit == "no-final":
+            final = ""
+    return "\n".join(lines) + final
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(format_texts, mutated_files()))
+def test_parse_agrees_with_the_line_loop(text):
+    assert outcome(parse_pair, text) == outcome(pairfile._parse_lines, text)
+
+
+@pytest.mark.parametrize("label", ["0", "n+1", "01", "²", "١"])
+def test_parse_agrees_with_the_line_loop_on_odd_labels(label):
+    # every number of a file, header size included, replaced in turn
+    pair = relabelled_random_pair(random.Random(14), 9)
+    text = serialize_pair(pair)
+    for k, line in enumerate(text.splitlines()):
+        for spot in range(1, len(line.split())):
+            tokens = line.split()
+            tokens[spot] = str(pair.n + 1) if label == "n+1" else label
+            lines = text.splitlines()
+            lines[k] = " ".join(tokens)
+            edited = "\n".join(lines) + "\n"
+            assert outcome(parse_pair, edited) == outcome(pairfile._parse_lines, edited)
 
 
 def test_parse_skips_blank_lines_and_odd_spacing():
@@ -62,6 +184,7 @@ def test_parse_does_not_validate_axioms():
         "n\n",
         "n -1\n",
         "n three\n",
+        "n ²\n",  # a digit to str.isdigit, but not a decimal that int() reads
         "n 3\nS 1\n",
         "n 3\nS 1 2 3\n",
         "n 3\nT 1 2\n",
@@ -86,6 +209,10 @@ def test_malformed_text_raises_parse_error(text):
 def test_impossible_labels_raise_value_error(text):
     with pytest.raises(ValueError):
         parse_pair(text)
+
+
+def test_non_ascii_decimal_labels_are_read_by_the_line_loop():
+    assert parse_pair("n ٢\nS ١ 2\n") == CatalanPair.from_pairs(2, [(0, 1)], [])
 
 
 def test_parse_error_messages_carry_line_numbers():

@@ -29,7 +29,6 @@ from catpairs.structures import (
     parse_staircase,
     pattern_transform,
     apply_steps,
-    plane_tree_size,
     reverse_perm,
     seq2_fixed_point,
     serialize_matching,
@@ -51,6 +50,7 @@ from oracles import (
     brute_validate_seq1,
     dyck_to_matching,
     matching_to_dyck,
+    plane_tree_size,
     seq2_offsets,
 )
 
