@@ -22,7 +22,14 @@ from functools import lru_cache
 
 from . import trees
 from .errors import ParseError, require
-from .relations import CatalanPair, Relation, bits, decompose_pair
+from .relations import (
+    CatalanPair,
+    Relation,
+    _canonical_left_sizes,
+    _tree_rows,
+    bits,
+    decompose_pair,
+)
 
 
 def tree_to_pair(t: trees.Tree) -> CatalanPair:
@@ -39,34 +46,16 @@ def _left_sizes_pair(left_sizes: list[int], inorder: bool) -> CatalanPair:
     """The pair of the tree with preorder *left_sizes*, built top down.
 
     Labels are the nodes' preorder positions, or their inorder positions
-    if *inorder* is set.  A node's S row is its parent's S row, plus the
-    parent when the node is a left child.  Its R row is the R row it
-    inherits plus its own right subtree: a left child inherits its
-    parent's whole R row, a right child only what the parent inherited.
-    A subtree's labels are consecutive in either order, so each right
-    subtree is one mask, and the pair costs O(n) row operations.
+    if *inorder* is set; the rows come from ``relations._tree_rows`` in
+    O(n) row operations.
     """
     n = len(left_sizes)
-    size = trees.subtree_sizes(left_sizes)
-    first = [0] * n  # by preorder position: lowest label in the subtree
-    s_down = [0] * n  # by position: the S row
-    r_down = [0] * n  # by position: the inherited R row
     s_rows = [0] * n
     r_rows = [0] * n
-    for p, a in enumerate(left_sizes):
-        b = size[p] - 1 - a
-        x = first[p] + a if inorder else first[p]
-        s_rows[x] = s_down[p]
-        r_rows[x] = r_down[p] | ((1 << b) - 1) << (first[p] + a + 1)
-        if a:
-            first[p + 1] = first[p] if inorder else x + 1
-            s_down[p + 1] = s_down[p] | 1 << x
-            r_down[p + 1] = r_rows[x]
-        if b:
-            q = p + a + 1
-            first[q] = first[p] + a + 1
-            s_down[q] = s_down[p]
-            r_down[q] = r_down[p]
+    size = trees.subtree_sizes(left_sizes)
+    for x, s_row, r_row in _tree_rows(left_sizes, size, inorder):
+        s_rows[x] = s_row
+        r_rows[x] = r_row
     return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
 
 
@@ -77,7 +66,9 @@ def pair_to_tree(pair: CatalanPair) -> trees.Tree:
     the axiom check on *pair* and raises InvariantViolation with its usual
     message if *pair* is invalid.  Its two factors are induced subpairs of
     a valid pair and therefore valid, so their trees are read off their
-    bitsets by :func:`_valid_pair_tree` with no further check.
+    bitsets by :func:`_valid_pair_tree` with no further check.  On a
+    canonical pair the whole read is O(n) row operations plus the split's
+    n - 1 block labels; other labellings walk S's set bits twice.
     """
     if pair.n == 0:
         return trees.EMPTY
@@ -92,17 +83,22 @@ def _valid_pair_tree(pair: CatalanPair) -> trees.Tree:
     preorder of the tree, so a label with d L-successors sits at preorder
     position n - 1 - d.  A label's left subtree holds exactly the labels
     that S-precede it, so its size is the popcount of the label's
-    S-column.  O(n + |S|) with no recursion; an invalid pair gives a
-    meaningless tree or an error.
+    S-column.  A factor of a canonical pair is canonical, and its left
+    sizes come from its R popcounts alone
+    (``relations._canonical_left_sizes``) in O(n) row operations; any
+    other labelling costs O(n + |S|).  No recursion; an invalid pair gives
+    a meaningless tree or an error.
     """
-    n = pair.n
-    s_in = [0] * n
-    for row in pair.S.rows:
-        for j in bits(row):
-            s_in[j] += 1
-    left_sizes = [0] * n
-    for i, row in enumerate(pair.R.rows):
-        left_sizes[n - 1 - row.bit_count() - s_in[i]] = s_in[i]
+    left_sizes = _canonical_left_sizes(pair.S, pair.R)
+    if left_sizes is None:
+        n = pair.n
+        s_in = [0] * n
+        for row in pair.S.rows:
+            for j in bits(row):
+                s_in[j] += 1
+        left_sizes = [0] * n
+        for i, row in enumerate(pair.R.rows):
+            left_sizes[n - 1 - row.bit_count() - s_in[i]] = s_in[i]
     return trees.from_left_sizes(left_sizes)
 
 

@@ -16,14 +16,21 @@ Relations are stored as bitset rows: bit j of ``rows[i]`` is set iff the
 pair (i, j) belongs to the relation.
 
 Cost model: deciding whether a pair is valid (``check_axioms``,
-``total_order``) takes one pass over the set bits of S plus O(n) big-int
-row operations, whatever the density of R.  Only an invalid pair pays
-for the per-bit scan over both relations that names its witnesses.
-``decompose_pair`` is one such check plus O(n) row operations to find
-and cut its two blocks.  ``Relation.restrict`` takes O(k) row operations
-when its k labels form one contiguous run, as both blocks of a canonical
-pair do; a scattered label set, as on a relabelled pair, walks the
-restricted rows bit by bit.
+``total_order``) takes O(n) big-int row operations when the labels are
+already canonical (every S row points only to smaller labels and every R
+row only to larger ones), as on every preorder-encoded value and every
+factor of a canonical pair; ``canonicalize`` returns such a pair as it
+is.  Any other labelling adds one pass over the set bits of S, and
+``canonicalize`` relabels it with one pass over the set bits of both
+relations.  A check's memory follows the input: an invalid pair is
+rejected before any mask larger than its own rows is built.  Only an
+invalid pair pays for naming its witnesses: O(n) row operations plus
+one pass over the set bits of both relations.  ``decompose_pair`` is one
+check plus O(n) row operations to find and cut its two blocks.
+``Relation.restrict`` takes O(k) row operations when its k labels form
+one contiguous run, as both blocks of a canonical pair do; a scattered
+label set, as on a relabelled pair, walks the restricted rows bit by
+bit.
 """
 
 from __future__ import annotations
@@ -89,11 +96,7 @@ class Relation:
 
     def cols(self) -> tuple[int, ...]:
         """Column masks: bit i of cols()[j] is set iff (i, j) holds."""
-        cols = [0] * self.n
-        for i, row in enumerate(self.rows):
-            for j in bits(row):
-                cols[j] |= 1 << i
-        return tuple(cols)
+        return tuple(_transpose(self.rows))
 
     def restrict(self, labels: Iterable[int]) -> "Relation":
         """Induced relation on *labels*, renumbered in increasing order.
@@ -130,6 +133,15 @@ class Relation:
         return Relation(self.n, tuple(rows))
 
 
+def _transpose(rows: tuple[int, ...] | list[int]) -> list[int]:
+    """Column masks of square bitset *rows*, one pass over their set bits."""
+    cols = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for j in bits(row):
+            cols[j] |= 1 << i
+    return cols
+
+
 def transitivity_witness(rel: Relation) -> tuple[int, int] | None:
     """The smallest (x, z) with x->y->z but no x->z for some y, else None."""
     for x in range(rel.n):
@@ -163,9 +175,10 @@ class AxiomReport:
 def check_axioms(S: Relation, R: Relation) -> AxiomReport:
     """Check the four axioms; report one witness per failing axiom.
 
-    A valid pair costs one pass over S's set bits and O(n) row operations
-    (see :func:`_derived_order`).  The per-bit scan over both relations
-    runs only on an invalid pair, to name its witnesses.
+    A valid pair costs O(n) row operations, plus one pass over S's set
+    bits unless its labels are canonical (see :func:`_derived_order`).
+    Only an invalid pair goes on to name its witnesses, in O(n) row
+    operations plus one pass over the set bits of both relations.
     """
     if S.n != R.n:
         raise ValueError("S and R must live on the same label set")
@@ -182,19 +195,29 @@ def check_axioms(S: Relation, R: Relation) -> AxiomReport:
     if witness is not None:
         violations.append(("i:R", witness))
 
+    # (ii) and (iii) from row masks: U = S | R and D = S & R.  Labels
+    # i < j are unrelated when neither U_i nor U_j holds the other, and
+    # doubly related when D_i or D_j does, or both U_i and U_j do.  Row i
+    # reads its columns only at j > i, so only the bits below the
+    # diagonal are transposed; they are cut off by shifts, which cost
+    # what the row holds, not what its label is.
+    union = [s | r for s, r in zip(S.rows, R.rows)]
+    both = [s & r for s, r in zip(S.rows, R.rows)]
+    union_cols = _transpose([row ^ row >> i << i for i, row in enumerate(union)])
+    both_cols = _transpose([row ^ row >> i << i for i, row in enumerate(both)])
     unrelated = doubled = None
     for i in range(n):
-        for j in range(i + 1, n):
-            count = (
-                (S.rows[i] >> j & 1)
-                + (S.rows[j] >> i & 1)
-                + (R.rows[i] >> j & 1)
-                + (R.rows[j] >> i & 1)
-            )
-            if count == 0 and unrelated is None:
+        if unrelated is None:
+            related = (union[i] | union_cols[i]) >> (i + 1)
+            j = i + (~related & (related + 1)).bit_length()
+            if j < n:
                 unrelated = (i, j)
-            elif count > 1 and doubled is None:
-                doubled = (i, j)
+        if doubled is None:
+            twice = (
+                both[i] | both_cols[i] | union[i] & union_cols[i]
+            ) >> (i + 1)
+            if twice:
+                doubled = (i, i + (twice & -twice).bit_length())
         if unrelated is not None and doubled is not None:
             break
     if unrelated is not None:
@@ -343,9 +366,9 @@ def total_order(pair: CatalanPair) -> tuple[int, ...]:
     """Labels sorted by the order L with i L j iff i R j or j S i.
 
     For a valid pair L is always a strict total order.  The order is
-    derived and the pair validated together, in one pass over S's set bits
-    plus O(n) row operations; an invalid pair raises InvariantViolation
-    with its first axiom witness.
+    derived and the pair validated together, in O(n) row operations plus,
+    unless the labels are canonical, one pass over S's set bits; an
+    invalid pair raises InvariantViolation with its first axiom witness.
     """
     order = _derived_order(pair.S, pair.R)
     if order is None:
@@ -362,12 +385,34 @@ def _derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
     A valid pair is a relabelled ``grammar.tree_to_pair`` of some binary
     tree, so the pair is rebuilt row by row instead of checked bit by bit.
     L lists the tree in preorder, a label's S-column is its left subtree
-    (the block of labels right after it in L) and R is the rest of L.  So
-    the pair is valid exactly when L is a strict total order, every
-    S-column is that block and the block sizes fill a binary tree.  One
-    pass over S's set bits, then O(n) row operations.
+    (the block of labels right after it in L) and R is the rest of L.
+
+    When every S row points only to smaller labels and every R row only
+    to larger ones, L can only be 0 < ... < n-1, so the labels are
+    already preorder positions: the left sizes come from R's popcounts
+    and the pair is valid exactly when the builder (:func:`_tree_rows`)
+    rebuilds it from them.  O(n) row operations.
+
+    Any other labelling takes one pass over S's set bits for its columns,
+    then O(n) row operations: the pair is valid exactly when L is a
+    strict total order, every S-column is that block and the block sizes
+    fill a binary tree.  The L-row popcounts are compared with the
+    positions before any prefix mask is built, so the masks hold no more
+    bits than the input.
     """
     n = S.n
+    left_sizes = _canonical_left_sizes(S, R)
+    if left_sizes is not None:
+        # stop at the first row that differs, so that an invalid pair
+        # builds no more than the rows it shares with a valid one: the
+        # empty pair's sizes spell a left chain, whose dense S is never built
+        size = trees.subtree_sizes(left_sizes)
+        if size is None:
+            return None
+        for x, s_row, r_row in _tree_rows(left_sizes, size, inorder=False):
+            if s_row != S.rows[x] or r_row != R.rows[x]:
+                return None
+        return tuple(range(n))
     s_cols = S.cols()
     l_rows = []
     for r_row, s_col in zip(R.rows, s_cols):
@@ -375,6 +420,8 @@ def _derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
             return None
         l_rows.append(r_row | s_col)
     order = sorted(range(n), key=lambda i: -l_rows[i].bit_count())
+    if any(l_rows[i].bit_count() != n - 1 - p for p, i in enumerate(order)):
+        return None
     before = [0] * (n + 1)  # before[p]: labels at positions < p
     for p, i in enumerate(order):
         before[p + 1] = before[p] | 1 << i
@@ -390,6 +437,58 @@ def _derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
     if trees.subtree_sizes(left_sizes) is None:
         return None
     return tuple(order)
+
+
+def _canonical_left_sizes(S: Relation, R: Relation) -> list[int] | None:
+    """Label i's left size n - 1 - i - |R_i|, if S rows point only to
+    smaller labels and R rows only to larger ones; else None.
+
+    On a valid pair that passes, the labels are the tree's preorder
+    positions, and label i's n - 1 - i L-successors are its R row plus its
+    left subtree, so the sizes are exact.  O(n) row operations.
+    """
+    n = S.n
+    sizes = []
+    for i, (s_row, r_row) in enumerate(zip(S.rows, R.rows)):
+        if s_row >> i or r_row >> i << i != r_row:
+            return None
+        sizes.append(n - 1 - i - r_row.bit_count())
+    return sizes
+
+
+def _tree_rows(
+    left_sizes: list[int], size: list[int], inorder: bool
+) -> Iterator[tuple[int, int, int]]:
+    """(label, S row, R row) of each node of the tree with preorder
+    *left_sizes* and subtree sizes *size*, top down in preorder.
+
+    Labels are the nodes' preorder positions, or their inorder positions
+    if *inorder* is set.  A node's S row is its parent's S row, plus the
+    parent when the node is a left child.  Its R row is the R row it
+    inherits plus its own right subtree: a left child inherits its
+    parent's whole R row, a right child only what the parent inherited.
+    A subtree's labels are consecutive in either order, so each right
+    subtree is one mask, and each row costs O(1) row operations.
+    """
+    n = len(left_sizes)
+    first = [0] * n  # by preorder position: lowest label in the subtree
+    s_down = [0] * n  # by position: the S row
+    r_down = [0] * n  # by position: the inherited R row
+    for p, a in enumerate(left_sizes):
+        b = size[p] - 1 - a
+        x = first[p] + a if inorder else first[p]
+        s_row = s_down[p]
+        r_row = r_down[p] | ((1 << b) - 1) << (first[p] + a + 1)
+        yield x, s_row, r_row
+        if a:
+            first[p + 1] = first[p] if inorder else x + 1
+            s_down[p + 1] = s_row | 1 << x
+            r_down[p + 1] = r_row
+        if b:
+            q = p + a + 1
+            first[q] = first[p] + a + 1
+            s_down[q] = s_row
+            r_down[q] = r_down[p]
 
 
 @dataclass(frozen=True)
@@ -432,12 +531,16 @@ def canonicalize(pair: CatalanPair) -> CanonicalPair:
     """Relabel a valid pair so its derived total order becomes 0 < ... < n-1.
 
     The one check is the ``total_order`` call, which validates *pair* and
-    raises InvariantViolation if it fails.  Relabelling a valid pair by
-    its own derived order makes that order the identity, so the result is
-    canonical by construction and skips the ``CanonicalPair`` check; a
-    direct ``CanonicalPair(...)`` call still runs it in full.
+    raises InvariantViolation if it fails.  A pair whose order is already
+    the identity is returned as it is, in O(n) row operations; any other
+    is relabelled by its own derived order, one pass over the set bits of
+    both relations.  Either way the result is canonical by construction
+    and skips the ``CanonicalPair`` check; a direct ``CanonicalPair(...)``
+    call still runs it in full.
     """
     order = total_order(pair)
+    if order == tuple(range(pair.n)):
+        return CanonicalPair._unchecked(pair)
     image = [0] * pair.n
     for new, old in enumerate(order):
         image[old] = new

@@ -6,10 +6,12 @@ The package derives every tree-shaped encoder from one builder
 per-family meanings of S and R, and the two bottom-up folds of pair
 composition, written without that builder so that the tests compare two
 independent routes; they do not check their input, so pass valid values.
-The ``brute_validate_*`` scans and the per-bit pair split
-(``reference_restrict``, ``reference_decompose_pair``) are the quadratic
-or bit-by-bit versions that the package's linear ones replaced, with the
-same messages.  ``reference_serialize_pair`` writes the pair file by
+The ``brute_validate_*`` scans, the pairwise axiom check
+(``reference_check_axioms``), the per-bit pair split
+(``reference_restrict``, ``reference_decompose_pair``) and the per-bit
+pair reading (``reference_derived_order``, ``reference_canonicalize``,
+``reference_pair_to_tree``) are the quadratic or bit-by-bit versions that
+the package's linear ones replaced, with the same messages.  ``reference_serialize_pair`` writes the pair file by
 sorting every line as text, and the size helpers at the end have no use
 in the package.
 """
@@ -18,7 +20,16 @@ from __future__ import annotations
 
 from catpairs import trees
 from catpairs.errors import InvariantViolation
-from catpairs.relations import CatalanPair, Relation, _join, _require_valid, bits
+from catpairs.relations import (
+    AxiomReport,
+    CanonicalPair,
+    CatalanPair,
+    Relation,
+    _join,
+    _require_valid,
+    bits,
+    transitivity_witness,
+)
 from catpairs.grammar import EMPTY_POLYOMINO, Polyomino
 from catpairs.structures import (
     Matching,
@@ -322,6 +333,121 @@ def brute_validate_polyomino(value: object) -> str | None:
         if upper[:t].count("N") <= lower[:t].count("N"):
             return f"paths touch after {t} steps, before the endpoint"
     return None
+
+
+# ------------------------------------------------------- pair checking
+
+def reference_check_axioms(S: Relation, R: Relation) -> AxiomReport:
+    """``check_axioms`` scanning every pair (i, j) for axioms (ii) and
+    (iii) on every input."""
+    if S.n != R.n:
+        raise ValueError("S and R must live on the same label set")
+    n = S.n
+    violations: list[tuple[str, tuple[int, ...]]] = []
+
+    witness = transitivity_witness(S)
+    if witness is not None:
+        violations.append(("i:S", witness))
+    witness = transitivity_witness(R)
+    if witness is not None:
+        violations.append(("i:R", witness))
+
+    unrelated = doubled = None
+    for i in range(n):
+        for j in range(i + 1, n):
+            count = (
+                (S.rows[i] >> j & 1)
+                + (S.rows[j] >> i & 1)
+                + (R.rows[i] >> j & 1)
+                + (R.rows[j] >> i & 1)
+            )
+            if count == 0 and unrelated is None:
+                unrelated = (i, j)
+            elif count > 1 and doubled is None:
+                doubled = (i, j)
+        if unrelated is not None and doubled is not None:
+            break
+    if unrelated is not None:
+        violations.append(("ii", unrelated))
+    if doubled is not None:
+        violations.append(("iii", doubled))
+
+    for x in range(n):
+        found = False
+        for y in bits(S.rows[x]):
+            missing = R.rows[y] & ~R.rows[x]
+            if missing:
+                z = (missing & -missing).bit_length() - 1
+                violations.append(("iv", (x, y, z)))
+                found = True
+                break
+        if found:
+            break
+
+    return AxiomReport(valid=not violations, violations=tuple(violations))
+
+
+def reference_derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
+    """``relations._derived_order`` from S's columns and n prefix masks on
+    every labelling, canonical or not."""
+    n = S.n
+    s_cols = S.cols()
+    l_rows = []
+    for r_row, s_col in zip(R.rows, s_cols):
+        if r_row & s_col:
+            return None
+        l_rows.append(r_row | s_col)
+    order = sorted(range(n), key=lambda i: -l_rows[i].bit_count())
+    before = [0] * (n + 1)  # before[p]: labels at positions < p
+    for p, i in enumerate(order):
+        before[p + 1] = before[p] | 1 << i
+    left_sizes = []
+    for p, i in enumerate(order):
+        a = s_cols[i].bit_count()
+        if (
+            l_rows[i] != before[n] ^ before[p + 1]
+            or s_cols[i] != before[p + a + 1] ^ before[p + 1]
+        ):
+            return None
+        left_sizes.append(a)
+    if trees.subtree_sizes(left_sizes) is None:
+        return None
+    return tuple(order)
+
+
+def reference_canonicalize(pair: CatalanPair) -> CanonicalPair:
+    """``canonicalize`` relabelling every pair by its derived order, bit by
+    bit, even when that order is already the identity."""
+    order = reference_derived_order(pair.S, pair.R)
+    if order is None:
+        axiom, witness = reference_check_axioms(pair.S, pair.R).violations[0]
+        raise InvariantViolation(f"total order: axiom ({axiom}) fails at {witness}")
+    image = [0] * pair.n
+    for new, old in enumerate(order):
+        image[old] = new
+    return CanonicalPair._unchecked(pair.relabel(image))
+
+
+def reference_valid_pair_tree(pair: CatalanPair) -> trees.Tree:
+    """``grammar._valid_pair_tree`` counting every label's S in-degree
+    from S's set bits on every labelling."""
+    n = pair.n
+    s_in = [0] * n
+    for row in pair.S.rows:
+        for j in bits(row):
+            s_in[j] += 1
+    left_sizes = [0] * n
+    for i, row in enumerate(pair.R.rows):
+        left_sizes[n - 1 - row.bit_count() - s_in[i]] = s_in[i]
+    return trees.from_left_sizes(left_sizes)
+
+
+def reference_pair_to_tree(pair: CatalanPair) -> trees.Tree:
+    """``grammar.pair_to_tree`` through the per-bit split and reading."""
+    if pair.n == 0:
+        return trees.EMPTY
+    _, left, right = reference_decompose_pair(pair)
+    return (reference_valid_pair_tree(left), reference_valid_pair_tree(right))
 
 
 # ------------------------------------------------------ pair splitting

@@ -2,7 +2,15 @@
 
 from __future__ import annotations
 
+import io
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
+
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
+
+from catpairs.cli import main
 
 
 # ------------------------------------------------------------------ verify
@@ -33,6 +41,20 @@ def test_verify_reads_stdin(run_cli, golden):
     code, out, _ = run_cli(["verify", "--stdin"], stdin=text)
     assert code == 0
     assert out.endswith("valid\n")
+
+
+def test_verify_names_the_first_gap_of_a_large_empty_pair(run_cli):
+    code, out, err = run_cli(["verify", "--stdin"], stdin="n 20000\n")
+    assert code == 2
+    assert out == (
+        "(i) S strict order: PASS\n"
+        "(i) R strict order: PASS\n"
+        "(ii) completeness: FAIL at (1, 2)\n"
+        "(iii) disjointness: PASS\n"
+        "(iv) compatibility: PASS\n"
+        "invalid\n"
+    )
+    assert err == ""
 
 
 def test_verify_missing_file(run_cli, tmp_path):
@@ -187,6 +209,36 @@ def test_non_decimal_header_size_is_unparsable(run_cli, command):
     assert code == 1
     assert out == ""
     assert err == "error: line 1: expected header 'n <size>'\n"
+
+
+# Lines of tokens over the pair-file alphabet.  A digit run has at most
+# five digits, so a header declares at most 99999 labels.
+pair_file_texts = st.builds(
+    lambda lines, final: "\n".join(" ".join(tokens) for tokens in lines) + final,
+    st.lists(
+        st.lists(
+            st.one_of(
+                st.sampled_from(["n", "S", "R", ""]),
+                st.text(alphabet="0123456789", min_size=1, max_size=5),
+            ),
+            max_size=4,
+        ),
+        max_size=8,
+    ),
+    st.sampled_from(["", "\n"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["verify", "decompose"]), pair_file_texts)
+def test_pair_file_commands_answer_every_text(command, text):
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch("sys.stdin", io.StringIO(text)):
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, "--stdin"])
+    assert code in (0, 1, 2)
+    message = err.getvalue()
+    assert message == "" or (message.endswith("\n") and message.count("\n") == 1)
 
 
 # ------------------------------------------------------------------- misc

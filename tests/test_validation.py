@@ -1,7 +1,7 @@
 """The row-operation pair kernel against the per-bit code it replaced.
 
-``reference_check_axioms`` and ``reference_total_order`` are the per-bit
-versions, kept verbatim (the latter validates through the former);
+``oracles.reference_check_axioms`` and ``reference_total_order`` are the
+per-bit versions, kept verbatim (the latter validates through the former);
 ``oracles.reference_decompose_pair`` and ``oracles.reference_restrict``
 split a pair from its column masks, bit by bit.  The fast paths must give
 the same report, order, factors and exception text on every input.
@@ -10,6 +10,7 @@ the same report, order, factors and exception text on every input.
 from __future__ import annotations
 
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -27,58 +28,17 @@ from catpairs import (
     total_order,
     tree_to_pair,
 )
-from catpairs import grammar, relations
-from catpairs.relations import bits, transitivity_witness
+from catpairs import grammar, relations, trees
+from catpairs.relations import bits
 from conftest import random_tree
-from oracles import reference_decompose_pair, reference_restrict
-
-
-def reference_check_axioms(S: Relation, R: Relation) -> AxiomReport:
-    if S.n != R.n:
-        raise ValueError("S and R must live on the same label set")
-    n = S.n
-    violations: list[tuple[str, tuple[int, ...]]] = []
-
-    witness = transitivity_witness(S)
-    if witness is not None:
-        violations.append(("i:S", witness))
-    witness = transitivity_witness(R)
-    if witness is not None:
-        violations.append(("i:R", witness))
-
-    unrelated = doubled = None
-    for i in range(n):
-        for j in range(i + 1, n):
-            count = (
-                (S.rows[i] >> j & 1)
-                + (S.rows[j] >> i & 1)
-                + (R.rows[i] >> j & 1)
-                + (R.rows[j] >> i & 1)
-            )
-            if count == 0 and unrelated is None:
-                unrelated = (i, j)
-            elif count > 1 and doubled is None:
-                doubled = (i, j)
-        if unrelated is not None and doubled is not None:
-            break
-    if unrelated is not None:
-        violations.append(("ii", unrelated))
-    if doubled is not None:
-        violations.append(("iii", doubled))
-
-    for x in range(n):
-        found = False
-        for y in bits(S.rows[x]):
-            missing = R.rows[y] & ~R.rows[x]
-            if missing:
-                z = (missing & -missing).bit_length() - 1
-                violations.append(("iv", (x, y, z)))
-                found = True
-                break
-        if found:
-            break
-
-    return AxiomReport(valid=not violations, violations=tuple(violations))
+from oracles import (
+    reference_canonicalize,
+    reference_check_axioms,
+    reference_decompose_pair,
+    reference_derived_order,
+    reference_pair_to_tree,
+    reference_restrict,
+)
 
 
 def reference_total_order(
@@ -247,18 +207,33 @@ def test_restrict_agrees_with_reference_on_runs_and_scattered_labels():
             assert rel.restrict(labels) == reference_restrict(rel, labels)
 
 
+def canonical_pair(left_sizes: list[int]) -> CatalanPair:
+    return grammar._left_sizes_pair(left_sizes, inorder=False)
+
+
+def shapes(rng: random.Random, n: int) -> dict[str, list[int]]:
+    """Preorder left sizes of a left chain, a right chain and a random tree."""
+    return {
+        "left chain": list(range(n - 1, -1, -1)),
+        "right chain": [0] * n,
+        "random": trees.left_sizes(random_tree(rng, n)),
+    }
+
+
 def test_decompose_never_walks_r(monkeypatch):
-    # at n = 500 R has about ten times as many set bits as S: the axiom
-    # check walks S once, the split walks its n - 1 block labels and the
-    # factor trees walk S once more
+    # canonical pairs of every shape are checked, canonicalized and read
+    # with no column, no relabelling and no walk over S or R: the only
+    # bits walked are the n - 1 block labels that decompose_pair lists
     rng = random.Random("decompose:cost")
-    t = random_tree(rng, 500)
-    pair = canonicalize(tree_to_pair(t)).pair
-    expected = reference_decompose_pair(pair)
-    s_bits = sum(row.bit_count() for row in pair.S.rows)
-    r_bits = sum(row.bit_count() for row in pair.R.rows)
-    bound = 2 * s_bits + pair.n
-    assert r_bits > 2 * bound
+    n = 1000
+    cases = []
+    for left_sizes in shapes(rng, n).values():
+        pair = canonical_pair(left_sizes)
+        cases.append((
+            pair,
+            reference_decompose_pair(pair),
+            trees.serialize(trees.from_left_sizes(left_sizes)),
+        ))
     walked = 0
 
     def counting_bits(mask):
@@ -267,10 +242,104 @@ def test_decompose_never_walks_r(monkeypatch):
             walked += 1
             yield j
 
+    def forbidden(*args):
+        raise AssertionError("a canonical pair walks no column or relabelling")
+
     monkeypatch.setattr(relations, "bits", counting_bits)
     monkeypatch.setattr(grammar, "bits", counting_bits)
-    assert decompose_pair(pair) == expected
-    assert walked <= bound
-    walked = 0
-    assert pair_to_tree(pair) == t
-    assert walked <= bound
+    monkeypatch.setattr(Relation, "cols", forbidden)
+    monkeypatch.setattr(Relation, "relabel", forbidden)
+    for pair, expected, text in cases:
+        assert check_axioms(pair.S, pair.R).valid
+        assert total_order(pair) == tuple(range(n))
+        assert canonicalize(pair).pair is pair
+        assert walked == 0
+        assert decompose_pair(pair) == expected
+        assert walked == n - 1
+        walked = 0
+        assert trees.serialize(pair_to_tree(pair)) == text
+        assert walked == n - 1
+        walked = 0
+
+
+KERNEL = (relations._derived_order, check_axioms, canonicalize, pair_to_tree)
+REFERENCE = (
+    reference_derived_order,
+    reference_check_axioms,
+    reference_canonicalize,
+    reference_pair_to_tree,
+)
+
+
+def outcomes(kernel: tuple, pair: CatalanPair) -> tuple:
+    """What *kernel*'s order, check, canonical form and tree say about
+    *pair*; trees as text."""
+    derived_order, check, canonical_form, tree_of = kernel
+    try:
+        tree = trees.serialize(tree_of(pair))
+    except InvariantViolation as exc:
+        tree = str(exc)
+    return (
+        derived_order(pair.S, pair.R),
+        check(pair.S, pair.R),
+        outcome(canonical_form, pair),
+        tree,
+    )
+
+
+@pytest.mark.parametrize("n", range(8))
+def test_fast_path_agrees_with_reference_on_every_tree_and_flip(n):
+    # each tree's canonical pair takes the fast path, its inorder pair and
+    # a relabelling the per-bit one, and every single-bit flip of any of
+    # them is invalid
+    rng = random.Random(f"fast path:{n}")
+    for t in trees.all_trees(n):
+        canonical = canonical_pair(trees.left_sizes(t))
+        labellings = (canonical, tree_to_pair(t), shuffled(rng, canonical))
+        for pair in dict.fromkeys(labellings):
+            assert outcomes(KERNEL, pair) == outcomes(REFERENCE, pair)
+            for side in "SR":
+                for i in range(n):
+                    for j in range(n):
+                        if i != j:
+                            flipped = flip(pair, side, i, j)
+                            assert outcomes(KERNEL, flipped) == outcomes(REFERENCE, flipped)
+
+
+@pytest.mark.parametrize("n", [100, 500, 2000])
+def test_fast_path_agrees_with_reference_on_large_canonical_pairs(n):
+    # on a canonical pair the per-bit canonicalize relabels by the
+    # identity and the per-bit tree read gives the tree the pair was
+    # built from, so those two references are run only up to n = 500
+    rng = random.Random(f"fast path:{n}")
+    for shape, left_sizes in shapes(rng, n).items():
+        pair = canonical_pair(left_sizes)
+        text = trees.serialize(trees.from_left_sizes(left_sizes))
+        assert check_axioms(pair.S, pair.R).valid, shape
+        order = reference_derived_order(pair.S, pair.R)
+        assert relations._derived_order(pair.S, pair.R) == order == tuple(range(n))
+        assert canonicalize(pair).pair is pair
+        assert trees.serialize(pair_to_tree(pair)) == text
+        if n <= 500:
+            assert reference_canonicalize(pair).pair == pair
+            assert trees.serialize(reference_pair_to_tree(pair)) == text
+        i, j = rng.sample(range(n), 2)
+        flipped = flip(pair, rng.choice("SR"), i, j)
+        assert relations._derived_order(flipped.S, flipped.R) is None
+        assert reference_derived_order(flipped.S, flipped.R) is None
+
+
+@pytest.mark.parametrize("s_pairs, gap", [([], (0, 1)), ([(0, 1)], (0, 2))])
+def test_check_memory_follows_the_input(s_pairs, gap):
+    # the empty pair passes the direction test and its sizes spell a left
+    # chain, whose dense S must not be built; with S 1 2 the pair takes
+    # the per-bit path, which must not build n prefix masks of n bits
+    pair = CatalanPair.from_pairs(20000, s_pairs, [])
+    tracemalloc.start()
+    try:
+        report = check_axioms(pair.S, pair.R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.violations == (("ii", gap),)
+    assert peak < 8 * 2**20
