@@ -246,14 +246,13 @@ def _decode_table(tag: str, n: int) -> dict[tuple, object]:
     return table
 
 
-def reference_decode(
-    pair: CatalanPair, tag: str, max_size: int = DEFAULT_TABLE_CAP
-) -> object:
-    """Invert any family's encoder by exhaustive table lookup."""
+def reference_decode(pair: CatalanPair, tag: str) -> object:
+    """Invert any family's encoder by exhaustive table lookup, up to size
+    ``DEFAULT_TABLE_CAP``."""
     fam = family(tag)
-    if pair.n > max_size:
+    if pair.n > DEFAULT_TABLE_CAP:
         raise SizeLimitError(
-            f"size {pair.n} exceeds the decode-table cap of {max_size}"
+            f"size {pair.n} exceeds the decode-table cap of {DEFAULT_TABLE_CAP}"
         )
     canon = canonicalize(pair)
     table = _decode_table(fam.tag, pair.n)
@@ -262,19 +261,15 @@ def reference_decode(
     return table[canon.S.rows]
 
 
-def decode_pair(
-    pair: CatalanPair, tag: str, max_size: int = DEFAULT_TABLE_CAP
-) -> object:
+def decode_pair(pair: CatalanPair, tag: str) -> object:
     """Turn a valid pair into the *tag* family's value for its class."""
     fam = family(tag)
     if fam.assemble is None:
-        return reference_decode(pair, fam.tag, max_size)
+        return reference_decode(pair, fam.tag)
     return fam.assemble(pair_to_tree(pair))
 
 
-def convert(
-    value: object, src: str, dst: str, max_size: int = DEFAULT_TABLE_CAP
-) -> object:
+def convert(value: object, src: str, dst: str) -> object:
     """Carry a value from one family to another through its canonical pair.
 
     The source family's encoder checks *value* and raises ValueError with
@@ -283,4 +278,4 @@ def convert(
     fsrc = family(src)
     fdst = family(dst)
     canon = canonicalize(fsrc.encode(value))
-    return decode_pair(canon.pair, fdst.tag, max_size)
+    return decode_pair(canon.pair, fdst.tag)

@@ -10,9 +10,11 @@ positions) or inorder labels (staircases; binary trees and polyominoes
 in ``grammar``).  Each docstring states what S and R mean for its family.
 
 The second sequence family splits at its fixed point, and each side
-spells a Dyck word through its offsets from the diagonal: the same
-builder reads the prefix word with inorder labels and the suffix word
-with preorder labels.  The permutation classes carry inversion pairs.
+spells a Dyck word through its offsets from the diagonal; the two-word
+rule, both ways, lives in ``structures`` (``_seq2_words`` and
+``_seq2_from_words``).  The same builder reads the prefix word with
+inorder labels and the suffix word with preorder labels.  The
+permutation classes carry inversion pairs.
 Encoders raise ValueError on invalid input, except ``encode_perm_312``:
 it is total over all permutations, and its output passes the pair axioms
 exactly when the permutation avoids 312.
@@ -30,10 +32,10 @@ from .structures import (
     PlaneTree,
     Sequence,
     Staircase,
+    _seq2_words,
     apply_steps,
     pattern_transform,
     profile_matching,
-    seq2_fixed_point,
     serialize_plane_tree,
     validate_avoidance,
     validate_dyck,
@@ -44,21 +46,7 @@ from .structures import (
     validate_seq2,
     validate_staircase,
 )
-
-
-def _enclosed(word: str, opening: str) -> list[int]:
-    """For each *opening* letter of a balanced word, in order, how many
-    opening letters lie between it and the letter that closes it."""
-    counts: list[int] = []
-    unclosed: list[int] = []
-    for letter in word:
-        if letter == opening:
-            unclosed.append(len(counts))
-            counts.append(0)
-        else:
-            i = unclosed.pop()
-            counts[i] = len(counts) - 1 - i
-    return counts
+from .trees import _enclosed
 
 
 def encode_matching(m: Matching) -> CatalanPair:
@@ -157,32 +145,18 @@ def encode_seq2(s: Sequence) -> CatalanPair:
     is R-related to everything after.  Above f the same scheme runs
     mirrored (S points backwards, first copy replaced by last).
 
-    Each side is a Dyck word read off its offsets.  The prefix word steps
-    down from height a_y - y, for each y < f in order, and its tree takes
-    inorder labels; the suffix word's up steps reach height z - a_z, for
-    each z > f in order, and its tree takes preorder labels.  f joins the
-    two halves.
+    Each side is a Dyck word read off its offsets
+    (``structures._seq2_words``).  The prefix word's tree takes inorder
+    labels and the suffix word's tree preorder labels; f joins the two
+    halves.
     """
     require(validate_seq2(s))
     if not s:
         return CatalanPair.empty(0)
-    f = seq2_fixed_point(s)
-    prefix = []
-    height = 0
-    for y in range(1, f):
-        offset = s[y - 1] - y
-        prefix.append("U" * (offset - height) + "D")
-        height = offset - 1
-    suffix = []
-    height = 0
-    for z in range(f + 1, len(s) + 1):
-        offset = z - s[z - 1]
-        suffix.append("D" * (height - offset + 1) + "U")
-        height = offset
-    suffix.append("D" * height)
+    prefix, suffix = _seq2_words(s)
     return _join(
-        _left_sizes_pair(_enclosed("".join(prefix), "U"), inorder=True),
-        _left_sizes_pair(_enclosed("".join(suffix), "U"), inorder=False),
+        _left_sizes_pair(_enclosed(prefix, "U"), inorder=True),
+        _left_sizes_pair(_enclosed(suffix, "U"), inorder=False),
     )
 
 

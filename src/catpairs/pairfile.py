@@ -8,9 +8,10 @@ blank lines are ignored on input.  Example::
     n 2
     S 1 2
 
-ParseError flags malformed text (bad header, bad tokens, duplicates);
-ValueError flags well-formed text with impossible labels (out of range or
-on the diagonal).
+ParseError flags malformed text (bad header, a size above 2^20 = 1048576,
+bad tokens, duplicates); ValueError flags well-formed text with impossible
+labels (out of range or on the diagonal).  The size limit is checked
+before anything of that size is allocated.
 
 Cost model: ``serialize_pair`` formats each line straight from the rows.
 ``parse_pair`` reads the text ``serialize_pair`` writes (in any line
@@ -27,6 +28,10 @@ import re
 
 from .errors import ParseError
 from .relations import CatalanPair, Relation, bits
+
+# Largest size a pair file may declare: a pair of n labels takes two
+# lists of n rows before any line is read.
+_MAX_SIZE = 1 << 20
 
 # The text serialize_pair writes: ASCII labels without leading zeros, one
 # space between tokens, every line ending in "\n".
@@ -60,7 +65,8 @@ def parse_pair(text: str) -> CatalanPair:
         heads = list(map(int, tokens[3::3]))
         tails = list(map(int, tokens[4::3]))
         if (
-            max(heads, default=0) <= n
+            n <= _MAX_SIZE
+            and max(heads, default=0) <= n
             and max(tails, default=0) <= n
             and not any(map(operator.eq, heads, tails))
         ):
@@ -88,6 +94,10 @@ def _parse_lines(text: str) -> CatalanPair:
             if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdecimal():
                 raise ParseError(f"line {lineno}: expected header 'n <size>'")
             n = int(tokens[1])
+            if n > _MAX_SIZE:
+                raise ParseError(
+                    f"line {lineno}: size {n} exceeds the limit of {_MAX_SIZE}"
+                )
             continue
         if len(tokens) != 3 or tokens[0] not in ("S", "R"):
             raise ParseError(

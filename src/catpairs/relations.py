@@ -184,7 +184,12 @@ def check_axioms(S: Relation, R: Relation) -> AxiomReport:
         raise ValueError("S and R must live on the same label set")
     if _derived_order(S, R) is not None:
         return AxiomReport(valid=True, violations=())
+    return AxiomReport(valid=False, violations=_witnesses(S, R))
 
+
+def _witnesses(S: Relation, R: Relation) -> tuple[tuple[str, tuple[int, ...]], ...]:
+    """One witness per failing axiom of a pair that ``_derived_order``
+    has already found invalid."""
     n = S.n
     violations: list[tuple[str, tuple[int, ...]]] = []
 
@@ -225,19 +230,16 @@ def check_axioms(S: Relation, R: Relation) -> AxiomReport:
     if doubled is not None:
         violations.append(("iii", doubled))
 
-    for x in range(n):
-        found = False
-        for y in bits(S.rows[x]):
-            missing = R.rows[y] & ~R.rows[x]
-            if missing:
-                z = (missing & -missing).bit_length() - 1
-                violations.append(("iv", (x, y, z)))
-                found = True
-                break
-        if found:
+    # (iv) at the first x S y whose R row holds a z missing from x's
+    missing = (
+        (x, y, R.rows[y] & ~R.rows[x]) for x in range(n) for y in bits(S.rows[x])
+    )
+    for x, y, zs in missing:
+        if zs:
+            violations.append(("iv", (x, y, (zs & -zs).bit_length() - 1)))
             break
 
-    return AxiomReport(valid=not violations, violations=tuple(violations))
+    return tuple(violations)
 
 
 @dataclass(frozen=True)
@@ -282,10 +284,12 @@ class CatalanPair:
 def _require_valid(pair: CatalanPair, context: str) -> None:
     report = pair.report()
     if not report.valid:
-        axiom, witness = report.violations[0]
-        raise InvariantViolation(
-            f"{context}: axiom ({axiom}) fails at {witness}"
-        )
+        raise _first_violation(context, report.violations)
+
+
+def _first_violation(context: str, violations: tuple) -> InvariantViolation:
+    axiom, witness = violations[0]
+    return InvariantViolation(f"{context}: axiom ({axiom}) fails at {witness}")
 
 
 def compose_pair(left: CatalanPair, right: CatalanPair) -> CatalanPair:
@@ -372,10 +376,7 @@ def total_order(pair: CatalanPair) -> tuple[int, ...]:
     """
     order = _derived_order(pair.S, pair.R)
     if order is None:
-        _require_valid(pair, "total order")
-        raise InvariantViolation(
-            "total order: no derived order on a pair that passes the axiom check"
-        )
+        raise _first_violation("total order", _witnesses(pair.S, pair.R))
     return order
 
 

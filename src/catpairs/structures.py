@@ -258,36 +258,19 @@ def _avoids_321(seq: Iterable[int]) -> bool:
     return True
 
 
-# pattern -> (read right to left, negate values, base test); both maps
-# preserve comparisons, so no value -> position inverse is needed
-_REDUCTIONS = {
-    "231": (False, False, _avoids_231),
-    "132": (True, False, _avoids_231),
-    "213": (False, True, _avoids_231),
-    "312": (True, True, _avoids_231),
-    "321": (False, False, _avoids_321),
-    "123": (True, False, _avoids_321),
-}
-
-
 def avoids(p: Permutation, pattern: str) -> bool:
-    """True if no three entries of *p* appear in *pattern*'s relative order.
+    """True if no three entries of the permutation *p* of 1..n appear in
+    *pattern*'s relative order; O(n).
 
-    Runs in O(n) for any sequence of distinct values.  A sequence avoids
-    231 exactly when it is stack-sortable (Knuth, TAOCP Vol. 1 §2.2.1),
-    and avoids 321 exactly when its entries below the running maximum
-    increase.  The other four patterns reduce to these two by reversal
-    and complement (Simion–Schmidt symmetries), with negation as the
-    complement: 132 reverses to 231, 213 complements to 231, 312 does
-    both, and 123 reverses to 321.
+    :func:`pattern_transform`'s steps carry p onto the 312 or 321 case.
+    p avoids 312 exactly when its reversal, negated, avoids 231, that is,
+    is stack-sortable (Knuth, TAOCP Vol. 1 §2.2.1).
     """
-    if pattern not in _REDUCTIONS:
-        raise ValueError(f"unsupported pattern {pattern!r}")
-    reverse, negate, base = _REDUCTIONS[pattern]
-    seq: Iterable[int] = reversed(p) if reverse else p
-    if negate:
-        seq = (-x for x in seq)
-    return base(seq)
+    steps, base = pattern_transform(pattern)
+    q = apply_steps(p, steps)
+    if base == "321":
+        return _avoids_321(q)
+    return _avoids_231(-x for x in reversed(q))
 
 
 def validate_avoidance(p: Permutation, pattern: str) -> str | None:
@@ -491,31 +474,55 @@ def seq2_fixed_point(s: Sequence) -> int:
     return fixed[0]
 
 
+def _seq2_words(s: Sequence) -> tuple[str, str]:
+    """The two Dyck words a nonempty seq2 value spells around its fixed point f.
+
+    The prefix word steps down from height c_y = a_y - y, for each y < f
+    in order; the suffix word's up steps reach height d_z = z - a_z, for
+    each z > f in order.
+    """
+    f = seq2_fixed_point(s)
+    c = [s[y - 1] - y for y in range(1, f)]
+    d = [z - s[z - 1] for z in range(f + 1, len(s) + 1)]
+    prefix = "".join("U" * (cy - before + 1) + "D" for before, cy in zip([1] + c, c))
+    suffix = "".join("D" * (before - dz + 1) + "U" for before, dz in zip([0] + d, d))
+    return prefix, suffix + "D" * (d[-1] if d else 0)
+
+
+def _seq2_from_words(prefix: str, suffix: str) -> Sequence:
+    """Inverse of :func:`_seq2_words`, for any two Dyck words.
+
+    a_y = y + the height before the y-th D of *prefix*, a_f = f, and
+    a_z = z - the height after the (z - f)-th U of *suffix*.
+    """
+    values: list[int] = []
+    height = 0
+    for letter in prefix:
+        if letter == "D":
+            values.append(len(values) + 1 + height)
+        height += 1 if letter == "U" else -1
+    values.append(len(values) + 1)
+    for letter in suffix:
+        height += 1 if letter == "U" else -1
+        if letter == "U":
+            values.append(len(values) + 1 - height)
+    return tuple(values)
+
+
 @lru_cache(maxsize=None)
 def enumerate_seq2(n: int) -> tuple[Sequence, ...]:
-    """Exact backtracking: before the fixed point values sit strictly above
-    the diagonal, after it strictly below, and every partial choice extends."""
+    """:func:`_seq2_from_words` over every pair of Dyck words with k and
+    n - 1 - k up steps."""
     if n == 0:
         return ((),)
-    out: list[Sequence] = []
-    # (prefix, last value, fixed point placed yet); iterative, so no
-    # closure cycle is left behind per build
-    stack: list[tuple[Sequence, int, bool]] = [((), 1, False)]
-    while stack:
-        prefix, last, fixed = stack.pop()
-        p = len(prefix) + 1
-        if p > n:
-            out.append(prefix)
-            continue
-        if fixed:
-            values = range(last, p)
-        else:
-            if last <= p:
-                stack.append((prefix + (p,), p, True))
-            values = range(max(last, p + 1), n + 1)
-        for v in values:
-            stack.append((prefix + (v,), v, fixed))
-    return tuple(sorted(out, key=serialize_seq))
+    words = [trees.grow(k, trees._dyck, "") for k in range(n)]
+    values = [
+        _seq2_from_words(prefix, suffix)
+        for k in range(n)
+        for prefix in words[k]
+        for suffix in words[n - 1 - k]
+    ]
+    return tuple(sorted(values, key=serialize_seq))
 
 
 # ---------------------------------------------------------------------------

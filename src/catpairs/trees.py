@@ -9,7 +9,8 @@ A family built on these trees is one ``join(left, right)`` rule plus the
 value of the empty tree, which :func:`fold` and :func:`grow` apply
 without recursion.  A tree is also fixed by the sizes of its left
 subtrees in preorder (:func:`left_sizes`), the form that pairs are built
-from and read back into.
+from and read back into, and the form :func:`_enclosed` reads off any
+balanced word.
 """
 
 from __future__ import annotations
@@ -192,27 +193,34 @@ def to_dyck_word(tree: Tree) -> str:
     return fold(tree, _dyck, "")
 
 
+def _enclosed(word: str, opening: str) -> list[int]:
+    """For each *opening* letter of a balanced word, in order, how many
+    opening letters lie between it and the letter that closes it: the
+    preorder left sizes of the word's first-return tree."""
+    counts: list[int] = []
+    unclosed: list[int] = []
+    for letter in word:
+        if letter == opening:
+            unclosed.append(len(counts))
+            counts.append(0)
+        else:
+            i = unclosed.pop()
+            counts[i] = len(counts) - 1 - i
+    return counts
+
+
 def from_dyck_word(word: str) -> Tree:
     """Inverse of :func:`to_dyck_word` (first-return factorisation)."""
-    pos = 0
-    values: list[Tree] = []
-    todo = ["tree"]  # what is still to be read, last first
-    while todo:
-        want = todo.pop()
-        if want == "node":
-            right = values.pop()
-            values.append((values.pop(), right))
-        elif want == "D":
-            if pos >= len(word) or word[pos] != "D":
-                raise ValueError("unbalanced word: unmatched 'U'")
-            pos += 1
-        elif pos >= len(word) or word[pos] == "D":
-            values.append(EMPTY)
-        elif word[pos] != "U":
-            raise ValueError(f"unexpected letter {word[pos]!r} at position {pos}")
+    depth = 0
+    for pos, letter in enumerate(word):
+        if letter == "U":
+            depth += 1
+        elif letter != "D":
+            raise ValueError(f"unexpected letter {letter!r} at position {pos}")
+        elif depth:
+            depth -= 1
         else:
-            todo += ("node", "tree", "D", "tree")
-            pos += 1
-    if pos != len(word):
-        raise ValueError(f"unbalanced word: unmatched 'D' at position {pos}")
-    return values[0]
+            raise ValueError(f"unbalanced word: unmatched 'D' at position {pos}")
+    if depth:
+        raise ValueError("unbalanced word: unmatched 'U'")
+    return from_left_sizes(_enclosed(word, "U"))

@@ -13,7 +13,11 @@ pair reading (``reference_derived_order``, ``reference_canonicalize``,
 ``reference_pair_to_tree``) are the quadratic or bit-by-bit versions that
 the package's linear ones replaced, with the same messages.  ``reference_serialize_pair`` writes the pair file by
 sorting every line as text, and the size helpers at the end have no use
-in the package.
+in the package.  ``reference_from_dyck_word`` (a todo-stack parser),
+``reference_enumerate_seq2`` (a backtracking search) and
+``seq2_from_tree`` (seq2's rule as two folds) are the independent
+routes that the package's one word reader and seq2's two-word rule
+replaced.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from catpairs.structures import (
     Sequence,
     seq2_fixed_point,
     serialize_plane_tree,
+    serialize_seq,
 )
 
 
@@ -132,6 +137,50 @@ def seq2_offsets(s: Sequence) -> Sequence:
     return tuple(
         s[i - 1] - i if i <= f else i - s[i - 1] for i in range(1, len(s) + 1)
     )
+
+
+def seq2_from_tree(t: trees.Tree) -> Sequence:
+    """The seq2 value whose pair has shape *t*.
+
+    The root is the fixed point f.  The left subtree fixes the prefix
+    offsets c_y = a_y - y through the join (A + 1) . 1 . B, the right
+    subtree the suffix offsets d_z = z - a_z through 1 . (A + 1) . B, and
+    a_y = y + c_y before f, a_f = f, a_z = z - d_z after it.
+    """
+    left, right = t
+    c = trees.fold(left, lambda a, b: (*[x + 1 for x in a], 1, *b), ())
+    d = trees.fold(right, lambda a, b: (1, *[x + 1 for x in a], *b), ())
+    f = len(c) + 1
+    return (
+        *[y + cy for y, cy in enumerate(c, start=1)],
+        f,
+        *[z - dz for z, dz in enumerate(d, start=f + 1)],
+    )
+
+
+def reference_enumerate_seq2(n: int) -> tuple[Sequence, ...]:
+    """Exact backtracking: before the fixed point values sit strictly above
+    the diagonal, after it strictly below, and every partial choice extends."""
+    if n == 0:
+        return ((),)
+    out: list[Sequence] = []
+    # (prefix, last value, fixed point placed yet)
+    stack: list[tuple[Sequence, int, bool]] = [((), 1, False)]
+    while stack:
+        prefix, last, fixed = stack.pop()
+        p = len(prefix) + 1
+        if p > n:
+            out.append(prefix)
+            continue
+        if fixed:
+            values = range(last, p)
+        else:
+            if last <= p:
+                stack.append((prefix + (p,), p, True))
+            values = range(max(last, p + 1), n + 1)
+        for v in values:
+            stack.append((prefix + (v,), v, fixed))
+    return tuple(sorted(out, key=serialize_seq))
 
 
 def direct_encode_seq2(s: Sequence) -> CatalanPair:
@@ -270,6 +319,33 @@ def dyck_to_matching(word: str) -> Matching:
         else:
             arches.append((stack.pop(), pos))
     return tuple(sorted(arches))
+
+
+def reference_from_dyck_word(word: str) -> trees.Tree:
+    """``trees.from_dyck_word`` as a todo-stack parser of the grammar
+    tree := (empty) | U tree D tree, with the same messages."""
+    pos = 0
+    values: list[trees.Tree] = []
+    todo = ["tree"]  # what is still to be read, last first
+    while todo:
+        want = todo.pop()
+        if want == "node":
+            right = values.pop()
+            values.append((values.pop(), right))
+        elif want == "D":
+            if pos >= len(word) or word[pos] != "D":
+                raise ValueError("unbalanced word: unmatched 'U'")
+            pos += 1
+        elif pos >= len(word) or word[pos] == "D":
+            values.append(trees.EMPTY)
+        elif word[pos] != "U":
+            raise ValueError(f"unexpected letter {word[pos]!r} at position {pos}")
+        else:
+            todo += ("node", "tree", "D", "tree")
+            pos += 1
+    if pos != len(word):
+        raise ValueError(f"unbalanced word: unmatched 'D' at position {pos}")
+    return values[0]
 
 
 def matching_to_dyck(m: Matching) -> str:

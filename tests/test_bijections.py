@@ -149,9 +149,11 @@ def test_reference_decode_also_serves_analytic_families():
 
 
 def test_reference_decode_respects_size_cap():
-    pair = family("perm-321").encode((1, 2, 3, 4))
-    with pytest.raises(SizeLimitError, match="decode-table cap of 3"):
-        reference_decode(pair, "perm-321", max_size=3)
+    # the cap is checked before any table is built
+    pair = family("perm-321").encode(tuple(range(1, 14)))
+    with pytest.raises(SizeLimitError, match="decode-table cap of 12"):
+        reference_decode(pair, "perm-321")
+    assert decode_pair(pair, "perm-321") == tuple(range(1, 14))  # analytic
 
 
 def test_reference_decode_rejects_invalid_pairs():
@@ -246,8 +248,8 @@ def test_convert_rejects_invalid_values_with_the_family_message(tag):
 def test_convert_respects_size_cap():
     word = "U" * 13 + "D" * 13
     with pytest.raises(SizeLimitError):
-        convert(word, "dyck", "seq2", max_size=6)
-    assert convert(word, "dyck", "staircase", max_size=6)  # analytic: no table
+        convert(word, "dyck", "seq2")
+    assert convert(word, "dyck", "staircase")  # analytic: no table
 
 
 def test_default_table_cap_value():

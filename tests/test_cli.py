@@ -3,13 +3,17 @@
 from __future__ import annotations
 
 import io
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+from catpairs import enumerate_pairs, serialize_pair
+from catpairs.bijections import ALIASES, FAMILIES, family
 from catpairs.cli import main
 
 
@@ -211,6 +215,14 @@ def test_non_decimal_header_size_is_unparsable(run_cli, command):
     assert err == "error: line 1: expected header 'n <size>'\n"
 
 
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_header_size_above_the_limit_is_unusable_input(run_cli, command):
+    code, out, err = run_cli([command, "--stdin"], stdin="n 1048577\n")
+    assert code == 1
+    assert out == ""
+    assert err == "error: line 1: size 1048577 exceeds the limit of 1048576\n"
+
+
 # Lines of tokens over the pair-file alphabet.  A digit run has at most
 # five digits, so a header declares at most 99999 labels.
 pair_file_texts = st.builds(
@@ -239,6 +251,111 @@ def test_pair_file_commands_answer_every_text(command, text):
     assert code in (0, 1, 2)
     message = err.getvalue()
     assert message == "" or (message.endswith("\n") and message.count("\n") == 1)
+
+
+# Every command over every family tag, with value text drawn from a small
+# alphabet per family.  At most 16 characters keep every value at size 8
+# or less, so no decode table gets slow to build; pair files keep their
+# digit runs to 3 digits, so that no header declares a size slow to check.
+COMMANDS = ("verify", "encode", "convert", "enumerate", "count", "decompose")
+TAGS = list(FAMILIES) + list(ALIASES)
+
+
+def value_alphabet(tag: str) -> str:
+    tag = ALIASES.get(tag, tag)
+    if tag.startswith(("perm-", "seq")):
+        return "0123456789 -"
+    return {
+        "dyck": "UDX ",
+        "matching": "1234567-x ",
+        "plane-tree": "()x ",
+        "staircase": "(e,)x ",
+        "binary-tree": "(e,)x ",
+        "polyomino": "NE;x ",
+    }[tag]
+
+
+pair_file_lines = st.lists(
+    st.lists(
+        st.one_of(
+            st.sampled_from(["n", "S", "R", "x"]),
+            st.text(alphabet="0123456789", min_size=1, max_size=3),
+        ),
+        max_size=4,
+    ),
+    max_size=6,
+).map(lambda lines: "".join(" ".join(tokens) + "\n" for tokens in lines))
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, text, mode).  Mode "stdin" sends text with --stdin,
+    "argument" puts it in argv (through a file for the pair-file
+    commands), and "none" leaves the input out."""
+    command = draw(st.sampled_from(COMMANDS))
+    tags = st.sampled_from(TAGS)
+    argv = [command]
+    if command in ("encode", "enumerate"):
+        argv += ["--family", draw(tags)]
+    elif command == "count" and draw(st.booleans()):
+        argv += ["--family", draw(st.sampled_from(["all"] + TAGS))]
+    elif command == "convert":
+        argv += ["--from", draw(tags), "--to", draw(tags)]
+    if command in ("enumerate", "count"):
+        argv += ["-n", str(draw(st.integers(-2, 7)))]
+        return argv, None, None
+    # half the texts are a member of the family, or the pair file of a
+    # valid pair with maybe one line dropped, so that the commands get past
+    # their parsers too
+    valid = draw(st.booleans())
+    size = draw(st.integers(0, 5))
+    if command in ("verify", "decompose"):
+        if valid:
+            canon = draw(st.sampled_from(enumerate_pairs(size)))
+            lines = serialize_pair(canon.pair).splitlines()
+            if len(lines) > 1 and draw(st.booleans()):
+                del lines[draw(st.integers(1, len(lines) - 1))]
+            text = "".join(line + "\n" for line in lines)
+        else:
+            text = draw(pair_file_lines)
+    else:
+        fam = family(argv[2])
+        text = (
+            fam.serialize(draw(st.sampled_from(fam.enumerate(size))))
+            if valid
+            else draw(st.text(alphabet=value_alphabet(argv[2]), max_size=16))
+        )
+    return argv, text, draw(st.sampled_from(["stdin", "argument", "none"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_calls())
+def test_every_command_answers_with_an_exit_code_and_one_line(call):
+    argv, text, mode = call
+    argv = list(argv)
+    stdin = ""
+    with tempfile.TemporaryDirectory() as folder:
+        if mode == "stdin":
+            argv.append("--stdin")
+            stdin = text
+        elif mode == "argument" and argv[0] in ("verify", "decompose"):
+            path = Path(folder) / "pair.txt"
+            path.write_text(text, encoding="utf-8")
+            argv.append(str(path))
+        elif mode == "argument":
+            argv.append(text)
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch("sys.stdin", io.StringIO(stdin)):
+            with redirect_stdout(out), redirect_stderr(err):
+                code = main(argv)
+    assert code in (0, 1, 2)
+    message = err.getvalue()
+    assert "Traceback" not in message
+    if message.startswith("usage:"):  # argparse's own usage block
+        assert code == 1
+        assert ": error: " in message.splitlines()[-1]
+    else:
+        assert message == "" or (message.endswith("\n") and message.count("\n") == 1)
 
 
 # ------------------------------------------------------------------- misc

@@ -78,30 +78,11 @@ def test_derived_encoder_equals_oracle_on_random_values(tag, encode, oracle, n):
     assert pair == oracle(value)
 
 
-def seq2_from_tree(t):
-    """The seq2 value whose pair has shape *t*.
-
-    The root is the fixed point f.  The left subtree fixes the prefix
-    offsets c_y = a_y - y through the join (A + 1) . 1 . B, the right
-    subtree the suffix offsets d_z = z - a_z through 1 . (A + 1) . B, and
-    a_y = y + c_y before f, a_f = f, a_z = z - d_z after it.
-    """
-    left, right = t
-    c = trees.fold(left, lambda a, b: (*[x + 1 for x in a], 1, *b), ())
-    d = trees.fold(right, lambda a, b: (1, *[x + 1 for x in a], *b), ())
-    f = len(c) + 1
-    return (
-        *[y + cy for y, cy in enumerate(c, start=1)],
-        f,
-        *[z - dz for z, dz in enumerate(d, start=f + 1)],
-    )
-
-
 def test_seq2_encoder_equals_oracle_on_random_values():
     # the oracle scans cubically, so n stays at 500
     rng = random.Random("derived:seq2:500")
     for _ in range(2):
-        value = seq2_from_tree(random_tree(rng, 500))
+        value = oracles.seq2_from_tree(random_tree(rng, 500))
         assert family("seq2").validate(value) is None
         assert encode_seq2(value) == oracles.direct_encode_seq2(value)
 
@@ -109,7 +90,7 @@ def test_seq2_encoder_equals_oracle_on_random_values():
 def test_seq2_encoder_reads_the_shape_of_large_values():
     rng = random.Random("derived:seq2:2000")
     t = random_tree(rng, 2000)
-    value = seq2_from_tree(t)
+    value = oracles.seq2_from_tree(t)
     assert family("seq2").validate(value) is None
     shape = pair_to_tree(canonicalize(encode_seq2(value)).pair)
     assert trees.serialize(shape) == trees.serialize(t)
@@ -121,7 +102,7 @@ def test_derived_encoders_take_no_per_bit_pass(monkeypatch):
     rng = random.Random("derived:cost")
     t = random_tree(rng, 500)
     values = [(encode, family(tag).assemble(t)) for tag, encode, _ in ROUTES]
-    values.append((encode_seq2, seq2_from_tree(random_tree(rng, 500))))
+    values.append((encode_seq2, oracles.seq2_from_tree(random_tree(rng, 500))))
     walked = []
     real_bits = relations.bits
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import hypothesis.strategies as st
 import pytest
@@ -220,3 +221,29 @@ def test_parse_error_messages_carry_line_numbers():
         parse_pair("n 3\nS 1 2\nS 1 2\n")
     with pytest.raises(ValueError, match="line 2"):
         parse_pair("n 3\nS 1 9\n")
+
+
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("n 1048577\n", 1),
+        ("n 1048577", 1),
+        ("n 1048577\nS 1 2\n", 1),
+        ("\nn 1048577\nS 1 2\n", 2),
+    ],
+)
+def test_declared_size_above_the_limit_is_refused_before_allocation(text, line):
+    # both paths refuse the header before any row list of that size
+    # exists; one past the limit, so that a missing check costs megabytes
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError) as caught:
+            parse_pair(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = text.split()[1]
+    assert str(caught.value) == (
+        f"line {line}: size {size} exceeds the limit of 1048576"
+    )
+    assert peak < 1 << 20

@@ -11,6 +11,8 @@ from catpairs import ParseError, catalan, trees
 from catpairs.bijections import assemble_perm_312
 from catpairs.structures import (
     PATTERNS,
+    _seq2_from_words,
+    _seq2_words,
     avoids,
     enumerate_dyck,
     enumerate_matching,
@@ -51,6 +53,9 @@ from oracles import (
     dyck_to_matching,
     matching_to_dyck,
     plane_tree_size,
+    reference_enumerate_seq2,
+    reference_from_dyck_word,
+    seq2_from_tree,
     seq2_offsets,
 )
 
@@ -78,6 +83,33 @@ def test_tree_dyck_word_codec_inverts():
             word = trees.to_dyck_word(t)
             assert validate_dyck(word) is None
             assert trees.from_dyck_word(word) == t
+
+
+def _outcome(parse, word):
+    try:
+        return parse(word)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_from_dyck_word_agrees_with_the_parser_on_random_strings():
+    # half over U/D alone, so that balanced words turn up often, half with
+    # a third letter; every outcome, a tree or one of the three messages,
+    # must be the oracle's
+    rng = random.Random("from_dyck_word")
+    seen = set()
+    for i in range(100_000):
+        alphabet = "UD" if i % 2 else "UUUDDDX"
+        word = "".join(rng.choices(alphabet, k=rng.randrange(13)))
+        expected = _outcome(reference_from_dyck_word, word)
+        assert _outcome(trees.from_dyck_word, word) == expected, word
+        seen.add(expected.split(" at ")[0] if isinstance(expected, str) else "tree")
+    assert seen == {
+        "tree",
+        "unbalanced word: unmatched 'U'",
+        "unbalanced word: unmatched 'D'",
+        "unexpected letter 'X'",
+    }
 
 
 def test_all_trees_sorted_by_text():
@@ -479,6 +511,42 @@ def test_enumerate_seq2_matches_filter():
         } or {()}
         assert set(enumerate_seq2(n)) == brute
         assert len(enumerate_seq2(n)) == CATALAN[n]
+
+
+def test_enumerate_seq2_equals_the_backtracking_search():
+    for n in range(11):
+        assert enumerate_seq2(n) == reference_enumerate_seq2(n), n
+
+
+def _assert_seq2_words_round_trip(s):
+    prefix, suffix = _seq2_words(s)
+    f = seq2_fixed_point(s)
+    assert len(prefix) == 2 * (f - 1) and validate_dyck(prefix) is None
+    assert len(suffix) == 2 * (len(s) - f) and validate_dyck(suffix) is None
+    assert _seq2_from_words(prefix, suffix) == s
+
+
+def test_seq2_words_round_trip_on_every_small_value():
+    for n in range(1, 11):
+        for s in reference_enumerate_seq2(n):
+            _assert_seq2_words_round_trip(s)
+
+
+@pytest.mark.parametrize("n", [500, 2000])
+def test_seq2_words_round_trip_on_large_random_values(n):
+    rng = random.Random(f"seq2-words:{n}")
+    for _ in range(3):
+        s = seq2_from_tree(random_tree(rng, n))
+        assert validate_seq2(s) is None
+        _assert_seq2_words_round_trip(s)
+
+
+def test_seq2_from_words_equals_the_tree_rule_on_every_small_tree():
+    # the prefix word is the left subtree's word, the suffix word the right's
+    for n in range(1, 10):
+        for t in trees.all_trees(n):
+            left, right = map(trees.to_dyck_word, t)
+            assert _seq2_from_words(left, right) == seq2_from_tree(t)
 
 
 # -------------------------------------------------------------- staircases

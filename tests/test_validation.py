@@ -150,6 +150,33 @@ def test_valid_pair_costs_one_pass_over_s(monkeypatch):
     assert walked <= s_bits
 
 
+def test_invalid_pair_is_checked_once_by_total_order(monkeypatch):
+    # total_order and canonicalize name the witness from the one
+    # _derived_order they ran, without a second check
+    rng = random.Random("checked once")
+    calls = 0
+    real_derived_order = relations._derived_order
+
+    def counting_derived_order(S, R):
+        nonlocal calls
+        calls += 1
+        return real_derived_order(S, R)
+
+    monkeypatch.setattr(relations, "_derived_order", counting_derived_order)
+    for n in range(2, 6):
+        for canon in enumerate_pairs(n):
+            for pair in (canon.pair, shuffled(rng, canon.pair)):
+                for side in "SR":
+                    i, j = rng.sample(range(n), 2)
+                    broken = flip(pair, side, i, j)
+                    expected = outcome(reference_total_order, broken)
+                    assert isinstance(expected, str)
+                    for order_of in (total_order, canonicalize):
+                        calls = 0
+                        assert outcome(order_of, broken) == expected
+                        assert calls == 1
+
+
 def split(decompose, pair: CatalanPair):
     try:
         return decompose(pair)
