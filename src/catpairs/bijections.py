@@ -2,10 +2,12 @@
 
 Conversion has one route: encode the source value, canonicalize the
 pair, decode into the target family.  Decoding assembles a value
-analytically by folding the family's join rule over the pair's
-decomposition tree.  The one family without a known inverse, the second
-sequence family, looks the canonical pair up instead, in a memoized
-table built from its own enumerator and capped at ``DEFAULT_TABLE_CAP``.
+analytically from the pair's decomposition tree, as the family's join
+rule folded over it would; matchings, permutations and seq1 are written
+in O(n) from the tree's preorder left sizes.  The one family without a
+known inverse, the second sequence family, looks the canonical pair up
+instead, in a memoized table built from its own enumerator and capped at
+``DEFAULT_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -52,10 +54,12 @@ DEFAULT_TABLE_CAP = 12
 
 # ---------------------------------------------------------------------------
 # Analytic assemblies: decomposition tree -> structure value.
-# Each folds its family's join rule over the tree, the rule its enumerator
-# grows every value with, so that encode(assemble(t)) is isomorphic to
-# tree_to_pair(t); the left subtree is the S-side block, the right the
-# R-side block.
+# Each gives the value that folding its family's join rule over the tree
+# gives, the rule its enumerator grows every value with, so that
+# encode(assemble(t)) is isomorphic to tree_to_pair(t); the left subtree is
+# the S-side block, the right the R-side block.  Matchings, 312-avoiders
+# and seq1 write the value in one pass over the preorder left sizes a_p
+# instead, since their joins copy a block at every node.
 
 
 def assemble_dyck(t: trees.Tree) -> str:
@@ -63,7 +67,16 @@ def assemble_dyck(t: trees.Tree) -> str:
 
 
 def assemble_matching(t: trees.Tree) -> structures.Matching:
-    return trees.fold(t, structures._matching_join, ())
+    """Node p's arch opens at s + 1 and closes at s + 2a_p + 2, where s is
+    the offset of its block: the k nodes before p in inorder closed
+    before p does, and the nodes p + 1 .. p + a_p of its left block
+    opened after it."""
+    sizes = trees.left_sizes(t)
+    arches: list = [()] * len(sizes)
+    for k, p in enumerate(trees._inorder(sizes)):
+        start = k + p - sizes[p]
+        arches[p] = (start + 1, start + 2 * sizes[p] + 2)
+    return tuple(arches)
 
 
 def assemble_plane_tree(t: trees.Tree) -> structures.PlaneTree:
@@ -71,11 +84,13 @@ def assemble_plane_tree(t: trees.Tree) -> structures.PlaneTree:
 
 
 def assemble_perm_312(t: trees.Tree) -> structures.Permutation:
-    return trees.fold(t, structures._perm_312_join, ())
+    """The inorder position of preorder node p holds the value p + 1."""
+    return tuple([p + 1 for p in trees._inorder(trees.left_sizes(t))])
 
 
 def assemble_seq1(t: trees.Tree) -> structures.Sequence:
-    return trees.fold(t, structures._seq1_join, ())
+    """a_i = i + the left size of preorder node i."""
+    return tuple([i + a for i, a in enumerate(trees.left_sizes(t), start=1)])
 
 
 def assemble_staircase(t: trees.Tree) -> structures.Staircase:

@@ -1,9 +1,10 @@
 """Command-line front end: verify, encode, convert, enumerate, count, decompose.
 
 Exit codes: 0 success; 1 for unusable input (bad flags, unparsable text,
-pair files above the size limit, sizes beyond the decode-table cap); 2 for
-well-formed input that fails validation (broken axioms, invalid structure
-values).  All output is deterministic, newline-terminated text.
+pair files above the size limit, numbers with more digits than int()
+reads, sizes beyond the decode-table cap); 2 for well-formed input that
+fails validation (broken axioms, invalid structure values).  All output
+is deterministic, newline-terminated text.
 """
 
 from __future__ import annotations

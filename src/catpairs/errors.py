@@ -1,5 +1,8 @@
-"""Exception types shared across the package, and the one helper that
-turns a validator's message into a ValueError."""
+"""Exception types shared across the package, the helper that turns a
+validator's message into a ValueError, and the one reader of decimal
+tokens that may be too long for int()."""
+
+import sys
 
 
 class ParseError(ValueError):
@@ -20,3 +23,14 @@ def require(message: str | None) -> None:
     """Raise ValueError(*message*) unless a validator returned None."""
     if message is not None:
         raise ValueError(message)
+
+
+def _read_ints(tokens: list[str], what: str) -> tuple[int, ...]:
+    """int() of each decimal token; ParseError naming *what* for a token
+    with more digits than int() reads (``sys.get_int_max_str_digits``),
+    which is left as it is."""
+    try:
+        return tuple([int(token) for token in tokens])
+    except ValueError:
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"{what} has more than {limit} digits") from None

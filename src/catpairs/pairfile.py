@@ -15,23 +15,25 @@ before anything of that size is allocated.
 
 Cost model: ``serialize_pair`` formats each line straight from the rows.
 ``parse_pair`` reads the text ``serialize_pair`` writes (in any line
-order) in bulk: one regex scan, one split and one row operation per line.
-Any other text, including every text with an error, goes through a line
-loop that names the first bad line; only that loop accepts blank lines,
-other spacing, other line ends or non-ASCII decimal labels.
+order) in bulk: one regex scan, one split, one ``int()`` per distinct
+label, then one dict lookup and one row operation per line.  Any other
+text, including every text with an error, goes through a line loop that
+names the first bad line; only that loop accepts blank lines, other
+spacing, other line ends or non-ASCII decimal labels.  A number too long
+for ``int()`` (see ``sys.get_int_max_str_digits``) is a ParseError too.
 """
 
 from __future__ import annotations
 
-import operator
 import re
 
-from .errors import ParseError
+from .errors import ParseError, _read_ints
 from .relations import CatalanPair, Relation, bits
 
 # Largest size a pair file may declare: a pair of n labels takes two
 # lists of n rows before any line is read.
 _MAX_SIZE = 1 << 20
+_MAX_DIGITS = len(str(_MAX_SIZE))
 
 # The text serialize_pair writes: ASCII labels without leading zeros, one
 # space between tokens, every line ending in "\n".
@@ -59,26 +61,39 @@ def serialize_pair(pair: CatalanPair) -> str:
 
 def parse_pair(text: str) -> CatalanPair:
     if _SERIALIZED.fullmatch(text):
-        tokens = text.split()
-        n = int(tokens[1])
-        names = tokens[2::3]
-        heads = list(map(int, tokens[3::3]))
-        tails = list(map(int, tokens[4::3]))
-        if (
-            n <= _MAX_SIZE
-            and max(heads, default=0) <= n
-            and max(tails, default=0) <= n
-            and not any(map(operator.eq, heads, tails))
-        ):
-            # rows and bits indexed by the 1-based labels; label 0 is cut off
-            rows = {"S": [0] * (n + 1), "R": [0] * (n + 1)}
-            for name, i, j in zip(names, heads, tails):
-                rows[name][i] |= 1 << j
-            S, R = (tuple([row >> 1 for row in rows[name][1:]]) for name in "SR")
-            # a repeated line sets no new bit
-            if sum(map(int.bit_count, S + R)) == len(names):
-                return CatalanPair(Relation(n, S), Relation(n, R))
+        pair = _read_serialized(text.split())
+        if pair is not None:
+            return pair
     return _parse_lines(text)
+
+
+def _read_serialized(tokens: list[str]) -> CatalanPair | None:
+    """The pair that the *tokens* of serialized text spell, or None when
+    the line loop must name a fault: a size above the limit, a label
+    above the size, a repeated or a diagonal line."""
+    size, names = tokens[1], tokens[2::3]
+    heads, tails = tokens[3::3], tokens[4::3]
+    labels = set(heads).union(tails)
+    # with no leading zeros, a token longer than the size lies above it;
+    # lengths go first, so that int() never reads a long token
+    if len(size) > _MAX_DIGITS or any(len(label) > len(size) for label in labels):
+        return None
+    n = int(size)
+    row = {label: int(label) - 1 for label in labels}
+    if n > _MAX_SIZE or max(row.values(), default=-1) >= n:
+        return None
+    rows = {"S": [0] * n, "R": [0] * n}
+    at = row.__getitem__
+    for name, i, j in zip(names, map(at, heads), map(at, tails)):
+        rows[name][i] |= 1 << j
+    S, R = rows["S"], rows["R"]
+    # a repeated line sets no new bit
+    if sum(map(int.bit_count, S)) + sum(map(int.bit_count, R)) != len(names):
+        return None
+    try:
+        return CatalanPair(Relation(n, tuple(S)), Relation(n, tuple(R)))
+    except ValueError:  # Relation refuses the bit of a diagonal line
+        return None
 
 
 def _parse_lines(text: str) -> CatalanPair:
@@ -93,7 +108,7 @@ def _parse_lines(text: str) -> CatalanPair:
         if n is None:
             if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdecimal():
                 raise ParseError(f"line {lineno}: expected header 'n <size>'")
-            n = int(tokens[1])
+            (n,) = _read_ints(tokens[1:], f"line {lineno}: the size")
             if n > _MAX_SIZE:
                 raise ParseError(
                     f"line {lineno}: size {n} exceeds the limit of {_MAX_SIZE}"
@@ -103,10 +118,13 @@ def _parse_lines(text: str) -> CatalanPair:
             raise ParseError(
                 f"line {lineno}: expected 'S <i> <j>' or 'R <i> <j>'"
             )
-        try:
-            i, j = int(tokens[1]), int(tokens[2])
-        except ValueError:
-            raise ParseError(f"line {lineno}: labels must be integers") from None
+        if tokens[1].isdecimal() and tokens[2].isdecimal():
+            i, j = _read_ints(tokens[1:], f"line {lineno}: a label")
+        else:
+            try:
+                i, j = int(tokens[1]), int(tokens[2])
+            except ValueError:
+                raise ParseError(f"line {lineno}: labels must be integers") from None
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(
                 f"line {lineno}: labels must lie in 1..{n}, got ({i}, {j})"

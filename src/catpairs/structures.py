@@ -27,7 +27,7 @@ from math import inf
 from typing import Iterable
 
 from . import trees
-from .errors import ParseError, require
+from .errors import ParseError, _read_ints, require
 
 # ---------------------------------------------------------------------------
 # Dyck words
@@ -107,13 +107,14 @@ def _first_crossing(m: Matching) -> str:
 
 
 def parse_matching(text: str) -> Matching:
-    arches = []
+    ends: list[str] = []
     for token in text.split():
         left, sep, right = token.partition("-")
-        if not sep or not left.isdigit() or not right.isdigit():
+        if not sep or not left.isdecimal() or not right.isdecimal():
             raise ParseError(f"token {token!r} is not of the form <l>-<r>")
-        arches.append((int(left), int(right)))
-    value = tuple(sorted(arches))
+        ends += (left, right)
+    values = _read_ints(ends, "an endpoint")
+    value = tuple(sorted(zip(values[::2], values[1::2])))
     require(validate_matching(value))
     return value
 
@@ -215,9 +216,9 @@ def validate_perm(p: Permutation) -> str | None:
 
 def parse_perm(text: str) -> Permutation:
     tokens = text.split()
-    if not all(token.isdigit() for token in tokens):
+    if not all(token.isdecimal() for token in tokens):
         raise ParseError("a permutation is a list of positive integers")
-    value = tuple(int(token) for token in tokens)
+    value = _read_ints(tokens, "a permutation entry")
     require(validate_perm(value))
     return value
 
@@ -417,9 +418,9 @@ def validate_seq1(s: Sequence) -> str | None:
 
 def _parse_sequence(text: str) -> Sequence:
     tokens = text.split()
-    if not all(token.isdigit() for token in tokens):
+    if not all(token.isdecimal() for token in tokens):
         raise ParseError("a sequence is a list of positive integers")
-    return tuple(int(token) for token in tokens)
+    return _read_ints(tokens, "a sequence entry")
 
 
 def parse_seq1(text: str) -> Sequence:

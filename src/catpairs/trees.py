@@ -78,6 +78,22 @@ def left_sizes(tree: Tree) -> list[int]:
     return sizes
 
 
+def _inorder(left_sizes: list[int]) -> list[int]:
+    """The preorder positions of the tree's nodes, in inorder.
+
+    Node p follows its left block, the positions p + 1 .. p + left_sizes[p].
+    The nodes still waiting for their left blocks nest, innermost last,
+    so the ones whose blocks end at p are on top when p has been read.
+    """
+    order: list[int] = []
+    waiting: list[int] = []
+    for p in range(len(left_sizes)):
+        waiting.append(p)
+        while waiting and waiting[-1] + left_sizes[waiting[-1]] == p:
+            order.append(waiting.pop())
+    return order
+
+
 def subtree_sizes(left_sizes: list[int]) -> list[int] | None:
     """Subtree sizes, by preorder position, of the binary tree whose
     left subtrees have *left_sizes*; None if no tree has them.

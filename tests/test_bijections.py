@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import random
 
 import pytest
 
@@ -22,8 +23,15 @@ from catpairs import (
     pair_to_tree,
     reference_decode,
 )
-from catpairs.bijections import _decode_table
+from catpairs import structures, trees
+from catpairs.bijections import (
+    _decode_table,
+    assemble_matching,
+    assemble_perm_312,
+    assemble_seq1,
+)
 from catpairs.structures import enumerate_seq2, seq2_fixed_point
+from conftest import random_tree
 
 FAMILY_TAGS = (
     "dyck",
@@ -119,6 +127,34 @@ def test_assemble_inverts_encode_for_analytic_families():
         for n in range(6):
             for value in fam.enumerate(n):
                 assert fam.assemble(pair_to_tree(fam.encode(value))) == value
+
+
+def chain(n: int, side: int) -> trees.Tree:
+    """n nodes, each the *side* child (0 left, 1 right) of the one before."""
+    t = trees.EMPTY
+    for _ in range(n):
+        t = (t, trees.EMPTY) if side == 0 else (trees.EMPTY, t)
+    return t
+
+
+@pytest.mark.parametrize(
+    "assemble, join, serialize",
+    [
+        (assemble_matching, structures._matching_join, structures.serialize_matching),
+        (assemble_perm_312, structures._perm_312_join, structures.serialize_perm),
+        (assemble_seq1, structures._seq1_join, structures.serialize_seq),
+    ],
+    ids=["matching", "perm-312", "seq1"],
+)
+def test_one_pass_assemblers_equal_the_join_fold(assemble, join, serialize):
+    # the oracle folds the join that the enumerators grow every value with;
+    # every tree with n <= 9, random trees and chains, compared by text
+    rng = random.Random(16)
+    shapes = [t for n in range(10) for t in trees.all_trees(n)]
+    shapes += [random_tree(rng, n) for n in (16, 64, 256, 1024) for _ in range(5)]
+    shapes += [chain(n, side) for n in (100, 4000) for side in (0, 1)]
+    for t in shapes:
+        assert serialize(assemble(t)) == serialize(trees.fold(t, join, ()))
 
 
 def test_table_families_have_no_assembler():

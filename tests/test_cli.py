@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
@@ -221,6 +222,63 @@ def test_header_size_above_the_limit_is_unusable_input(run_cli, command):
     assert code == 1
     assert out == ""
     assert err == "error: line 1: size 1048577 exceeds the limit of 1048576\n"
+
+
+LIMIT = sys.get_int_max_str_digits()
+LONG = "9" * (LIMIT + 1)  # one digit more than int() reads
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, message",
+    [
+        (["verify", "--stdin"], f"n {LONG}\n", "line 1: the size"),
+        (["verify", "--stdin"], f"n 3\nS 1 {LONG}\n", "line 2: a label"),
+        (["decompose", "--stdin"], f"n 3\n\nR {LONG} 1\n", "line 3: a label"),
+        (["encode", "--family", "seq1", "--stdin"], f"1 {LONG}", "a sequence entry"),
+        (["encode", "--family", "seq2", "--stdin"], LONG, "a sequence entry"),
+        (
+            ["encode", "--family", "perm-312", "--stdin"],
+            f"{LONG} 1",
+            "a permutation entry",
+        ),
+        (
+            ["convert", "--from", "perm-231", "--to", "dyck", "--stdin"],
+            f"1 {LONG}",
+            "a permutation entry",
+        ),
+        (["encode", "--family", "matching", "--stdin"], f"1-{LONG}", "an endpoint"),
+        (
+            ["convert", "--from", "matching", "--to", "dyck", "--stdin"],
+            f"{LONG}-2",
+            "an endpoint",
+        ),
+    ],
+    ids=[
+        "header", "bulk-label", "loop-label", "seq1", "seq2", "perm",
+        "perm-convert", "matching", "matching-convert",
+    ],
+)
+def test_numbers_too_long_for_int_are_unusable_input(run_cli, argv, stdin, message):
+    # the interpreter-wide digit limit stays as it is
+    code, out, err = run_cli(argv, stdin=stdin)
+    assert (code, out) == (1, "")
+    assert err == f"error: {message} has more than {LIMIT} digits\n"
+    assert sys.get_int_max_str_digits() == LIMIT
+
+
+@pytest.mark.parametrize(
+    "tag, text, message",
+    [
+        ("perm-312", "2 1 ²", "a permutation is a list of positive integers"),
+        ("seq1", "1 ²", "a sequence is a list of positive integers"),
+        ("matching", "1-²", "token '1-²' is not of the form <l>-<r>"),
+    ],
+    ids=["perm", "seq1", "matching"],
+)
+def test_non_decimal_digits_in_values_are_unparsable(run_cli, tag, text, message):
+    # "²" is a digit to str.isdigit, but not a decimal that int() reads
+    code, out, err = run_cli(["encode", "--family", tag, text])
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 # Lines of tokens over the pair-file alphabet.  A digit run has at most

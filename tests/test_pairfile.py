@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -77,6 +78,27 @@ def test_serialized_text_never_takes_the_line_loop(monkeypatch):
     monkeypatch.setattr(Relation, "from_pairs", classmethod(refuse))
     monkeypatch.setattr(Relation, "pairs", property(refuse))
     assert parse_pair(serialize_pair(pair)) == pair
+
+
+def test_serialized_text_reads_each_distinct_label_once(monkeypatch):
+    # cost guard: int() reads the header and each distinct label once, not
+    # both labels of every line, and the line loop never runs
+    n = 200
+    pair = relabelled_random_pair(random.Random(15), n)
+    calls = []
+
+    class CountingInt(int):
+        def __new__(cls, *args):
+            calls.append(args)
+            return int(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("line loop taken")
+
+    monkeypatch.setattr(pairfile, "int", CountingInt, raising=False)
+    monkeypatch.setattr(pairfile, "_parse_lines", refuse)
+    assert parse_pair(serialize_pair(pair)) == pair
+    assert 0 < len(calls) <= n + 1
 
 
 def outcome(parse, text):
@@ -159,6 +181,48 @@ def test_parse_agrees_with_the_line_loop_on_odd_labels(label):
             lines[k] = " ".join(tokens)
             edited = "\n".join(lines) + "\n"
             assert outcome(parse_pair, edited) == outcome(pairfile._parse_lines, edited)
+
+
+LONG = "9" * 5000
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        f"n 3\nS 1 {LONG}\n",
+        f"n 3\nR {LONG} 2\nS 1 2\n",
+        f"n {LONG}\nS 1 2\n",
+        "n 12\nS 1 2\nS 13 1\n",
+        "n 12\nR 2 100\n",
+        "n 1000000\nS 1 2\n",
+    ],
+    ids=["long-tail", "long-head", "long-size", "above-n", "longer-than-n", "sparse"],
+)
+def test_parse_agrees_with_the_line_loop_on_long_and_large_labels(text):
+    assert outcome(parse_pair, text) == outcome(pairfile._parse_lines, text)
+
+
+def test_long_labels_name_their_line():
+    limit = sys.get_int_max_str_digits()
+    with pytest.raises(ParseError) as caught:
+        parse_pair(f"n 3\nS 1 2\nS 1 {LONG}\n")
+    assert str(caught.value) == f"line 3: a label has more than {limit} digits"
+    with pytest.raises(ParseError) as caught:
+        parse_pair(f"n {LONG}\n")
+    assert str(caught.value) == f"line 1: the size has more than {limit} digits"
+
+
+def test_a_sparse_file_allocates_only_its_rows():
+    # two lists of a million rows and their tuples, 32 MB; no table of
+    # labels sized by the header
+    tracemalloc.start()
+    try:
+        pair = parse_pair("n 1000000\nS 1 2\n")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert pair.S.rows[0] == 2 and not any(pair.R.rows)
+    assert peak < 50_000_000
 
 
 def test_parse_skips_blank_lines_and_odd_spacing():
