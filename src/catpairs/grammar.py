@@ -11,14 +11,12 @@ from them top down.  That builder is also every tree-shaped family's
 encoder (see ``encoders``).
 
 Parallelogram polyominoes (two non-touching lattice paths over N/E with
-shared endpoints) join the tree world through a column codec: column
-heights and overlaps spell a balanced U/D word, and the word's
-first-return structure is the tree.
+shared endpoints) join the tree world through their Dyck word: the upper
+path spells the U steps and the lower path the D steps, letter by letter,
+and the word's first-return structure is the tree.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 from . import trees
 from .errors import ParseError, require
@@ -164,52 +162,27 @@ def serialize_polyomino(value: Polyomino) -> str:
     return f"{value[0]};{value[1]}"
 
 
-def _heights_before_east(word: str) -> tuple[int, ...]:
-    """Number of N steps seen before each E step."""
-    heights = []
-    seen = 0
-    for letter in word:
-        if letter == "E":
-            heights.append(seen)
-        else:
-            seen += 1
-    return tuple(heights)
+def _polyomino_left_sizes(value: Polyomino) -> list[int]:
+    """The left sizes of a polyomino's Dyck word, read off its two paths
+    after the one ``validate_polyomino`` check.
 
-
-def polyomino_to_tree(value: Polyomino) -> trees.Tree:
-    """Column codec: heights and overlaps spell a balanced word.
-
-    Column i spans h_i cells and shares s_i rows with column i+1; the
-    word U^h_1 [D^(h_i-s_i+1) U^(h_{i+1}-s_i+1)]... D^h_w is balanced
-    with one U per size unit, and its first-return tree is the result.
+    Upper path: the E steps before the last cut the N steps into the runs
+    of U steps, and each of them is the U that opens the next run.  Lower
+    path: each E is the D that opens a run of D steps, and the N steps
+    after it, the final N aside, are the rest of that run.
     """
     require(validate_polyomino(value))
     if value == EMPTY_POLYOMINO:
-        return trees.EMPTY
-    tops = _heights_before_east(value[0])
-    bottoms = _heights_before_east(value[1])
-    heights = [t - b for t, b in zip(tops, bottoms)]
-    overlaps = [tops[i] - bottoms[i + 1] for i in range(len(tops) - 1)]
-    chunks = ["U" * heights[0]]
-    for i, s in enumerate(overlaps):
-        chunks.append("D" * (heights[i] - s + 1))
-        chunks.append("U" * (heights[i + 1] - s + 1))
-    chunks.append("D" * heights[-1])
-    return trees.from_dyck_word("".join(chunks))
+        return []
+    ups = value[0][:-1].split("E")
+    downs = value[1][:-1].split("E")[1:]
+    word = "U".join("U" * len(u) + "D" * (len(d) + 1) for u, d in zip(ups, downs))
+    return trees._enclosed(word, "U")
 
 
-def _runs(word: str) -> tuple[list[int], list[int]]:
-    """Lengths of the alternating maximal U-runs and D-runs."""
-    u_runs: list[int] = []
-    d_runs: list[int] = []
-    i = 0
-    while i < len(word):
-        j = i
-        while j < len(word) and word[j] == word[i]:
-            j += 1
-        (u_runs if word[i] == "U" else d_runs).append(j - i)
-        i = j
-    return u_runs, d_runs
+def polyomino_to_tree(value: Polyomino) -> trees.Tree:
+    """The first-return tree of the polyomino's Dyck word."""
+    return trees.from_left_sizes(_polyomino_left_sizes(value))
 
 
 def tree_to_polyomino(t: trees.Tree) -> Polyomino:
@@ -218,36 +191,23 @@ def tree_to_polyomino(t: trees.Tree) -> Polyomino:
 
 
 def _word_to_polyomino(word: str) -> Polyomino:
+    """Letter by letter: a U steps the upper path N, or E right after a
+    D; a D steps the lower path E right after a U, or N otherwise.  The
+    upper path ends with an E and the lower path with an N."""
     if not word:
         return EMPTY_POLYOMINO
-    u_runs, d_runs = _runs(word)
-    heights = [u_runs[0]]
-    for i in range(1, len(u_runs)):
-        heights.append(heights[i - 1] - d_runs[i - 1] + u_runs[i])
-    overlaps = [heights[i] - d_runs[i] + 1 for i in range(len(heights) - 1)]
-    bottoms = [0]
-    for i, s in enumerate(overlaps):
-        bottoms.append(bottoms[i] + heights[i] - s)
-    tops = [b + h for b, h in zip(bottoms, heights)]
-    total = tops[-1]
-    upper = "".join(
-        "N" * (tops[i] - (tops[i - 1] if i else 0)) + "E"
-        for i in range(len(tops))
-    )
-    bottoms.append(total)
-    lower = "".join(
-        "E" + "N" * (bottoms[i + 1] - bottoms[i]) for i in range(len(tops))
-    )
-    return (upper, lower)
+    upper = word.replace("DU", "DE").replace("D", "").replace("U", "N")
+    lower = word.replace("UD", "UE").replace("U", "").replace("D", "N")
+    return (upper + "E", lower + "N")
 
 
-@lru_cache(maxsize=None)
 def enumerate_polyomino(n: int) -> tuple[Polyomino, ...]:
     words = trees.grow(n, trees._dyck, "")
     return tuple(sorted(map(_word_to_polyomino, words), key=serialize_polyomino))
 
 
 def encode_polyomino(value: Polyomino) -> CatalanPair:
-    """The pair of the column-codec tree, labels in inorder; the value is
-    checked once, by :func:`polyomino_to_tree`."""
-    return tree_to_pair(polyomino_to_tree(value))
+    """The pair of the polyomino's first-return tree, labels in inorder,
+    built straight from its Dyck word's left sizes; the value is checked
+    once, by :func:`_polyomino_left_sizes`."""
+    return _left_sizes_pair(_polyomino_left_sizes(value), inorder=True)

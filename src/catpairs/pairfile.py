@@ -118,13 +118,9 @@ def _parse_lines(text: str) -> CatalanPair:
             raise ParseError(
                 f"line {lineno}: expected 'S <i> <j>' or 'R <i> <j>'"
             )
-        if tokens[1].isdecimal() and tokens[2].isdecimal():
-            i, j = _read_ints(tokens[1:], f"line {lineno}: a label")
-        else:
-            try:
-                i, j = int(tokens[1]), int(tokens[2])
-            except ValueError:
-                raise ParseError(f"line {lineno}: labels must be integers") from None
+        if not (tokens[1].isdecimal() and tokens[2].isdecimal()):
+            raise ParseError(f"line {lineno}: labels must be integers")
+        i, j = _read_ints(tokens[1:], f"line {lineno}: a label")
         if not (1 <= i <= n and 1 <= j <= n):
             raise ValueError(
                 f"line {lineno}: labels must lie in 1..{n}, got ({i}, {j})"

@@ -36,7 +36,6 @@ bit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator
 
 from . import trees
@@ -569,7 +568,6 @@ def catalan(n: int) -> int:
     return _CATALAN[n]
 
 
-@lru_cache(maxsize=None)
 def enumerate_pairs(n: int) -> tuple[CanonicalPair, ...]:
     """All canonical pairs of size *n*, one per binary tree, joined as in
     ``tree_to_pair`` and sorted by their text serialization."""

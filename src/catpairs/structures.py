@@ -61,7 +61,6 @@ def serialize_dyck(word: str) -> str:
     return word
 
 
-@lru_cache(maxsize=None)
 def enumerate_dyck(n: int) -> tuple[str, ...]:
     return tuple(sorted(trees.grow(n, trees._dyck, "")))
 
@@ -135,7 +134,6 @@ def _matching_join(inner: Matching, after: Matching) -> Matching:
     )
 
 
-@lru_cache(maxsize=None)
 def enumerate_matching(n: int) -> tuple[Matching, ...]:
     return tuple(sorted(trees.grow(n, _matching_join, ()), key=serialize_matching))
 
@@ -192,7 +190,6 @@ def _plane_tree_join(first: PlaneTree, rest: PlaneTree) -> PlaneTree:
     return (first,) + rest
 
 
-@lru_cache(maxsize=None)
 def enumerate_plane_tree(n: int) -> tuple[PlaneTree, ...]:
     """All plane trees with *n* edges."""
     return tuple(
@@ -439,7 +436,6 @@ def _seq1_join(left: Sequence, right: Sequence) -> Sequence:
     return tuple([k + 1] + [v + 1 for v in left] + [v + k + 1 for v in right])
 
 
-@lru_cache(maxsize=None)
 def enumerate_seq1(n: int) -> tuple[Sequence, ...]:
     return tuple(sorted(trees.grow(n, _seq1_join, ()), key=serialize_seq))
 
@@ -510,7 +506,6 @@ def _seq2_from_words(prefix: str, suffix: str) -> Sequence:
     return tuple(values)
 
 
-@lru_cache(maxsize=None)
 def enumerate_seq2(n: int) -> tuple[Sequence, ...]:
     """:func:`_seq2_from_words` over every pair of Dyck words with k and
     n - 1 - k up steps."""

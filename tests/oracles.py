@@ -14,10 +14,12 @@ pair reading (``reference_derived_order``, ``reference_canonicalize``,
 the package's linear ones replaced, with the same messages.  ``reference_serialize_pair`` writes the pair file by
 sorting every line as text, and the size helpers at the end have no use
 in the package.  ``reference_from_dyck_word`` (a todo-stack parser),
-``reference_enumerate_seq2`` (a backtracking search) and
-``seq2_from_tree`` (seq2's rule as two folds) are the independent
-routes that the package's one word reader and seq2's two-word rule
-replaced.
+``reference_enumerate_seq2`` (a backtracking search),
+``seq2_from_tree`` (seq2's rule as two folds) and the polyomino column
+codec (``reference_polyomino_to_tree``, ``reference_tree_to_polyomino``:
+column heights, overlaps, tops and bottoms) are the independent routes
+that the package's one word reader, seq2's two-word rule and the
+polyomino letter maps replaced.
 """
 
 from __future__ import annotations
@@ -409,6 +411,78 @@ def brute_validate_polyomino(value: object) -> str | None:
         if upper[:t].count("N") <= lower[:t].count("N"):
             return f"paths touch after {t} steps, before the endpoint"
     return None
+
+
+def _heights_before_east(word: str) -> tuple[int, ...]:
+    """Number of N steps seen before each E step."""
+    heights = []
+    seen = 0
+    for letter in word:
+        if letter == "E":
+            heights.append(seen)
+        else:
+            seen += 1
+    return tuple(heights)
+
+
+def reference_polyomino_to_tree(value: Polyomino) -> trees.Tree:
+    """The column codec: column i spans h_i cells and shares s_i rows
+    with column i+1; the word U^h_1 [D^(h_i-s_i+1) U^(h_{i+1}-s_i+1)]...
+    D^h_w is balanced with one U per size unit, and its first-return tree
+    is the result."""
+    if value == EMPTY_POLYOMINO:
+        return trees.EMPTY
+    tops = _heights_before_east(value[0])
+    bottoms = _heights_before_east(value[1])
+    heights = [t - b for t, b in zip(tops, bottoms)]
+    overlaps = [tops[i] - bottoms[i + 1] for i in range(len(tops) - 1)]
+    chunks = ["U" * heights[0]]
+    for i, s in enumerate(overlaps):
+        chunks.append("D" * (heights[i] - s + 1))
+        chunks.append("U" * (heights[i + 1] - s + 1))
+    chunks.append("D" * heights[-1])
+    return trees.from_dyck_word("".join(chunks))
+
+
+def _runs(word: str) -> tuple[list[int], list[int]]:
+    """Lengths of the alternating maximal U-runs and D-runs."""
+    u_runs: list[int] = []
+    d_runs: list[int] = []
+    i = 0
+    while i < len(word):
+        j = i
+        while j < len(word) and word[j] == word[i]:
+            j += 1
+        (u_runs if word[i] == "U" else d_runs).append(j - i)
+        i = j
+    return u_runs, d_runs
+
+
+def reference_tree_to_polyomino(t: trees.Tree) -> Polyomino:
+    """Inverse of :func:`reference_polyomino_to_tree`: column heights,
+    overlaps, bottoms and tops from the runs of the tree's Dyck word."""
+    word = trees.to_dyck_word(t)
+    if not word:
+        return EMPTY_POLYOMINO
+    u_runs, d_runs = _runs(word)
+    heights = [u_runs[0]]
+    for i in range(1, len(u_runs)):
+        heights.append(heights[i - 1] - d_runs[i - 1] + u_runs[i])
+    overlaps = [heights[i] - d_runs[i] + 1 for i in range(len(heights) - 1)]
+    bottoms = [0]
+    for i, s in enumerate(overlaps):
+        bottoms.append(bottoms[i] + heights[i] - s)
+    tops = [b + h for b, h in zip(bottoms, heights)]
+    total = tops[-1]
+    upper = "".join(
+        "N" * (tops[i] - (tops[i - 1] if i else 0)) + "E"
+        for i in range(len(tops))
+    )
+    bottoms.append(total)
+    lower = "".join(
+        "E" + "N" * (bottoms[i + 1] - bottoms[i]) for i in range(len(tops))
+    )
+    return (upper, lower)
 
 
 # ------------------------------------------------------- pair checking

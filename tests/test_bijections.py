@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import gc
+import importlib
+import pkgutil
 import random
+import sys
 
 import pytest
 
+import catpairs
 from catpairs import (
     ALIASES,
     DEFAULT_TABLE_CAP,
@@ -243,7 +247,6 @@ def test_convert_leaves_no_reference_cycles():
     # conversion garbage must go by reference counting alone: a recursive
     # closure (plane-tree encode, a cold seq2 build) leaves a cycle per call
     _decode_table.cache_clear()
-    enumerate_seq2.cache_clear()
     gc.collect()
     gc.disable()
     try:
@@ -255,6 +258,34 @@ def test_convert_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+# The unbounded caches production code reuses: five permutation classes
+# start from the 312 list, staircase and binary-tree share the sorted
+# trees, seq2 decodes through its table, and the CLI builds one parser.
+KEPT_CACHES = {
+    "catpairs.structures.enumerate_perm",
+    "catpairs.trees.all_trees",
+    "catpairs.bijections._decode_table",
+    "catpairs.cli._build_parser",
+}
+
+
+def test_only_the_reused_caches_are_kept():
+    # found as perfbench/run.py:lru_caches finds the caches a cold pass clears
+    for info in pkgutil.iter_modules(catpairs.__path__):
+        importlib.import_module(f"catpairs.{info.name}")
+    modules = [
+        module for name, module in sys.modules.items()
+        if name == "catpairs" or name.startswith("catpairs.")
+    ]
+    found = {
+        f"{value.__module__}.{value.__qualname__}"
+        for module in modules
+        for value in vars(module).values()
+        if hasattr(value, "cache_clear")
+    }
+    assert found == KEPT_CACHES
 
 
 def test_convert_accepts_alias_tags():

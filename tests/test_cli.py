@@ -217,6 +217,14 @@ def test_non_decimal_header_size_is_unparsable(run_cli, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_non_decimal_labels_are_unparsable(run_cli, command):
+    # int() would read "1_0" as 10 and "+1" as 1
+    code, out, err = run_cli([command, "--stdin"], stdin="n 12\nS 1_0 2\nR +1 2\n")
+    assert (code, out) == (1, "")
+    assert err == "error: line 2: labels must be integers\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
 def test_header_size_above_the_limit_is_unusable_input(run_cli, command):
     code, out, err = run_cli([command, "--stdin"], stdin="n 1048577\n")
     assert code == 1

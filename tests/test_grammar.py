@@ -1,4 +1,4 @@
-"""Grammar-tree folds, the direct branch formulas, and the polyomino codec."""
+"""Grammar-tree folds, the direct branch formulas, and the polyomino letter maps."""
 
 from __future__ import annotations
 
@@ -37,7 +37,10 @@ from oracles import (
     brute_validate_polyomino,
     join_fold_pair,
     polyomino_size,
+    reference_polyomino_to_tree,
+    reference_tree_to_polyomino,
 )
+from test_bijections import chain
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132)
 
@@ -243,6 +246,42 @@ def test_polyomino_tree_codec_inverts():
             value = tree_to_polyomino(t)
             assert validate_polyomino(value) is None
             assert polyomino_to_tree(value) == t
+
+
+def test_letter_maps_equal_the_column_codec_on_every_small_tree():
+    for n in range(10):
+        for t in trees.all_trees(n):
+            value = tree_to_polyomino(t)
+            assert value == reference_tree_to_polyomino(t)
+            assert polyomino_to_tree(value) == reference_polyomino_to_tree(value)
+
+
+@pytest.mark.parametrize(
+    "shape", ["random-100", "random-500", "random-2000", "left-4000", "right-4000"]
+)
+def test_letter_maps_equal_the_column_codec_on_large_trees(shape):
+    # trees this deep are compared by their text: == on nested tuples recurses
+    kind, n = shape.split("-")
+    if kind == "random":
+        t = random_tree(random.Random(f"polyomino letters:{n}"), int(n))
+    else:
+        t = chain(int(n), ("left", "right").index(kind))
+    value = tree_to_polyomino(t)
+    assert value == reference_tree_to_polyomino(t)
+    assert trees.serialize(polyomino_to_tree(value)) == trees.serialize(t)
+    assert trees.serialize(reference_polyomino_to_tree(value)) == trees.serialize(t)
+
+
+def test_encode_polyomino_builds_no_tree(monkeypatch):
+    value = tree_to_polyomino(random_tree(random.Random("encode_polyomino"), 500))
+    expected = tree_to_pair(reference_polyomino_to_tree(value))
+
+    def forbidden(*args):
+        raise AssertionError("encode_polyomino built a tree")
+
+    monkeypatch.setattr(trees, "from_left_sizes", forbidden)
+    monkeypatch.setattr(trees, "from_dyck_word", forbidden)
+    assert encode_polyomino(value) == expected
 
 
 def test_enumerate_polyomino_matches_brute_force():

@@ -168,7 +168,7 @@ def test_parse_agrees_with_the_line_loop(text):
     assert outcome(parse_pair, text) == outcome(pairfile._parse_lines, text)
 
 
-@pytest.mark.parametrize("label", ["0", "n+1", "01", "²", "١"])
+@pytest.mark.parametrize("label", ["0", "n+1", "01", "²", "١", "+1", "1_0", "-1"])
 def test_parse_agrees_with_the_line_loop_on_odd_labels(label):
     # every number of a file, header size included, replaced in turn
     pair = relabelled_random_pair(random.Random(14), 9)
@@ -254,6 +254,9 @@ def test_parse_does_not_validate_axioms():
         "n 3\nS 1 2 3\n",
         "n 3\nT 1 2\n",
         "n 3\nS one 2\n",
+        "n 3\nS +1 2\n",  # int() reads these three, but they are not decimal labels
+        "n 12\nS 1_0 2\n",
+        "n 3\nS -1 2\n",
         "n 3\nS 1 2\nS 1 2\n",
     ],
 )
