@@ -4,10 +4,10 @@ Conversion has one route: encode the source value, canonicalize the
 pair, decode into the target family.  Decoding assembles a value
 analytically from the pair's decomposition tree, as the family's join
 rule folded over it would; matchings, permutations and seq1 are written
-in O(n) from the tree's preorder left sizes.  The one family without a
-known inverse, the second sequence family, looks the canonical pair up
-instead, in a memoized table built from its own enumerator and capped at
-``DEFAULT_TABLE_CAP``.
+in O(n) from the tree's preorder left sizes, and plane trees in one
+preorder walk.  The one family without a known inverse, the second
+sequence family, looks the canonical pair up instead, in a memoized
+table built from its own enumerator and capped at ``DEFAULT_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -59,7 +59,8 @@ DEFAULT_TABLE_CAP = 12
 # encode(assemble(t)) is isomorphic to tree_to_pair(t); the left subtree is
 # the S-side block, the right the R-side block.  Matchings, 312-avoiders
 # and seq1 write the value in one pass over the preorder left sizes a_p
-# instead, since their joins copy a block at every node.
+# instead, and plane trees in one preorder walk, since their joins copy a
+# block at every node.
 
 
 def assemble_dyck(t: trees.Tree) -> str:
@@ -80,7 +81,26 @@ def assemble_matching(t: trees.Tree) -> structures.Matching:
 
 
 def assemble_plane_tree(t: trees.Tree) -> structures.PlaneTree:
-    return trees.fold(t, structures._plane_tree_join, ())
+    """Each node opens a subtree holding its left block, and its right
+    block follows as that subtree's later siblings: the plane tree whose
+    text is the tree's Dyck word.  One preorder walk, which closes a
+    node's subtree where its left block ends."""
+    forests: list[list] = [[]]  # children read so far, per open node
+    stack: list = [t] if t else []  # subtrees to walk; None closes a node
+    while stack:
+        node = stack.pop()
+        if node is None:
+            child = tuple(forests.pop())
+            forests[-1].append(child)
+        else:
+            forests.append([])
+            left, right = node
+            if right:
+                stack.append(right)
+            stack.append(None)
+            if left:
+                stack.append(left)
+    return tuple(forests[0])
 
 
 def assemble_perm_312(t: trees.Tree) -> structures.Permutation:

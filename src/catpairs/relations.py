@@ -29,25 +29,53 @@ one pass over the set bits of both relations.  ``decompose_pair`` is one
 check plus O(n) row operations to find and cut its two blocks.
 ``Relation.restrict`` takes O(k) row operations when its k labels form
 one contiguous run, as both blocks of a canonical pair do; a scattered
-label set, as on a relabelled pair, walks the restricted rows bit by
-bit.
+label set, as on a relabelled pair, walks the kept bits of the kept
+rows.
+
+Every pass over set bits goes through :func:`bits`.  It walks a dense
+row in C, at a cost per binary digit, and a sparse row in Python, at a
+cost per set bit.  On a valid pair R holds n(n-1)/2 - |S| of the n(n-1)
+possible bits, so R's rows are dense.  The loop body of a pass still
+runs in Python for each bit, except in the transitivity witness and a
+scattered ``restrict``, which fold what they walk with ``map`` in C.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from itertools import compress, count
+from operator import or_
 from typing import Iterable, Iterator
 
 from . import trees
 from .errors import InvariantViolation
 
+# binary digits "0"/"1" as the selector bytes 0/1
+_DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
 
-def bits(mask: int) -> Iterator[int]:
-    """Indices of set bits, ascending."""
+
+def bits(mask: int) -> Iterable[int]:
+    """Indices of set bits, ascending, to be iterated once.
+
+    A dense mask (more than about one bit in eight set) is walked lazily
+    in C: its binary digits, lowest first, select from a counter, at a
+    cost per digit.  A short or sparse one is listed in Python, one loop
+    step per set bit; masks below 2^16 take that path after one shift.
+    The list is built from the top bit down and then reversed, since
+    clearing the top bit allocates one integer less than isolating the
+    lowest.
+    """
+    if mask >> 16 and mask.bit_count() * 8 > mask.bit_length() + 40:
+        digits = format(mask, "b")[::-1].encode().translate(_DIGIT_BITS)
+        return compress(count(), digits)
+    indices = []
     while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+        top = mask.bit_length() - 1
+        indices.append(top)
+        mask ^= 1 << top
+    indices.reverse()
+    return indices
 
 
 @dataclass(frozen=True)
@@ -101,24 +129,26 @@ class Relation:
         """Induced relation on *labels*, renumbered in increasing order.
 
         O(k) row operations when the k labels are one run lo..hi, else one
-        pass over the set bits of their rows.
+        pass over the set bits that their rows keep.
         """
         kept = sorted(set(labels))
         k = len(kept)
-        if k and kept[0] >= 0 and kept[-1] - kept[0] == k - 1:
+        if not k:
+            return Relation(0, ())
+        if kept[0] >= 0 and kept[-1] - kept[0] == k - 1:
             # one run lo..hi: cut every row by shift-and-mask; the rows
             # are listed first so the tuple is built at its exact size (a
             # tuple grown from a generator is resized, which fragments
             # the heap a long run allocates into)
             lo, mask = kept[0], (1 << k) - 1
             return Relation(k, tuple([self.rows[i] >> lo & mask for i in kept]))
-        index = {old: new for new, old in enumerate(kept)}
-        rows = [0] * len(kept)
-        for old in kept:
-            for j in bits(self.rows[old]):
-                if j in index:
-                    rows[index[old]] |= 1 << index[j]
-        return Relation(len(kept), tuple(rows))
+        # cut each row to the kept labels first, so that only the bits it
+        # keeps are walked, each one looked up as its renumbered bit
+        keep = sum([1 << old for old in kept])
+        new_bit = {old: 1 << new for new, old in enumerate(kept)}.__getitem__
+        return Relation(k, tuple([
+            sum(map(new_bit, bits(self.rows[old] & keep))) for old in kept
+        ]))
 
     def relabel(self, image: Iterable[int]) -> "Relation":
         """Rename label i to image[i]; *image* must be a permutation."""
@@ -143,10 +173,9 @@ def _transpose(rows: tuple[int, ...] | list[int]) -> list[int]:
 
 def transitivity_witness(rel: Relation) -> tuple[int, int] | None:
     """The smallest (x, z) with x->y->z but no x->z for some y, else None."""
-    for x in range(rel.n):
-        missing = 0
-        for y in bits(rel.rows[x]):
-            missing |= rel.rows[y] & ~rel.rows[x]
+    row_of = rel.rows.__getitem__
+    for x, row in enumerate(rel.rows):
+        missing = reduce(or_, map(row_of, bits(row)), 0) & ~row
         if missing:
             return (x, (missing & -missing).bit_length() - 1)
     return None

@@ -32,6 +32,7 @@ from catpairs.bijections import (
     _decode_table,
     assemble_matching,
     assemble_perm_312,
+    assemble_plane_tree,
     assemble_seq1,
 )
 from catpairs.structures import enumerate_seq2, seq2_fixed_point
@@ -147,8 +148,13 @@ def chain(n: int, side: int) -> trees.Tree:
         (assemble_matching, structures._matching_join, structures.serialize_matching),
         (assemble_perm_312, structures._perm_312_join, structures.serialize_perm),
         (assemble_seq1, structures._seq1_join, structures.serialize_seq),
+        (
+            assemble_plane_tree,
+            structures._plane_tree_join,
+            structures.serialize_plane_tree,
+        ),
     ],
-    ids=["matching", "perm-312", "seq1"],
+    ids=["matching", "perm-312", "seq1", "plane-tree"],
 )
 def test_one_pass_assemblers_equal_the_join_fold(assemble, join, serialize):
     # the oracle folds the join that the enumerators grow every value with;

@@ -23,6 +23,7 @@ from catpairs import (
     serialize_pair,
     total_order,
 )
+from catpairs.relations import bits
 from conftest import SEVEN_R, SEVEN_S
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
@@ -33,6 +34,31 @@ def sets(pair: CatalanPair) -> tuple[set, set]:
 
 
 # ---------------------------------------------------------------- Relation
+
+def test_bits_lists_the_set_bits_of_sparse_and_dense_masks():
+    # bits walks a mask in Python or in C depending on its length and
+    # density; every mask must list what a plain digit scan lists
+    rng = random.Random("bits")
+    masks = [0]
+    masks += [1 << j for j in range(130)]
+    masks += [(1 << j) - 1 for j in range(1, 131)]
+    for _ in range(300):
+        length = rng.randrange(8, 2101)
+        density = 1 / rng.choice((1, 2, 4, 8, 16, 32, 64))
+        row = sum(1 << j for j in range(length - 1) if rng.random() < density)
+        masks.append(row | 1 << (length - 1))
+    # either side of the rule "more than one bit in eight, past 16 bits":
+    # k set bits with 8k <= length + 40 stay in Python, k + 1 go to C
+    for length in (16, 17, 24, 25, 40, 64, 129, 1000, 2100):
+        k = (length + 40) // 8
+        for size in (k - 1, k, k + 1, k + 2):
+            chosen = rng.sample(range(length - 1), min(size, length) - 1)
+            masks.append(sum(1 << j for j in chosen) | 1 << (length - 1))
+    for mask in masks:
+        assert list(bits(mask)) == [
+            j for j in range(mask.bit_length()) if mask >> j & 1
+        ]
+
 
 def test_relation_from_pairs_round_trips():
     rel = Relation.from_pairs(4, [(2, 0), (0, 1), (3, 1)])
