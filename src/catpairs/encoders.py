@@ -112,7 +112,7 @@ def _inversion_pair(keys: Permutation) -> CatalanPair:
         later = everything & ~((2 << i) - 1)
         s_rows.append(below[key] & later)
         r_rows.append(later & ~below[key])
-    return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
+    return CatalanPair(Relation._unchecked(n, s_rows), Relation._unchecked(n, r_rows))
 
 
 def encode_perm_321(p: Permutation) -> CatalanPair:

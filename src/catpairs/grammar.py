@@ -54,7 +54,7 @@ def _left_sizes_pair(left_sizes: list[int], inorder: bool) -> CatalanPair:
     for x, s_row, r_row in _tree_rows(left_sizes, size, inorder):
         s_rows[x] = s_row
         r_rows[x] = r_row
-    return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
+    return CatalanPair(Relation._unchecked(n, s_rows), Relation._unchecked(n, r_rows))
 
 
 def pair_to_tree(pair: CatalanPair) -> trees.Tree:

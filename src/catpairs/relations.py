@@ -13,7 +13,11 @@ Valid pairs of every size compose and decompose like binary trees, which
 is what the rest of the package exploits.
 
 Relations are stored as bitset rows: bit j of ``rows[i]`` is set iff the
-pair (i, j) belongs to the relation.
+pair (i, j) belongs to the relation.  ``Relation(n, rows)`` and
+``Relation.from_pairs`` check that every row lies in 0..n-1 off the
+diagonal.  The package's own builders make such rows by construction and
+skip the check: :func:`_tree_rows` behind every tree-shaped encoder, the
+inversion pairs, :func:`_join`, ``restrict`` and ``relabel``.
 
 Cost model: deciding whether a pair is valid (``check_axioms``,
 ``total_order``) takes O(n) big-int row operations when the labels are
@@ -97,6 +101,13 @@ class Relation:
                 raise ValueError(f"diagonal entry ({i}, {i}) is not allowed")
 
     @classmethod
+    def _unchecked(cls, n: int, rows: Iterable[int]) -> "Relation":
+        """A relation on rows known to lie in 0..n-1 off the diagonal, unchecked."""
+        rel = object.__new__(cls)
+        rel.__dict__.update(n=n, rows=tuple(rows))
+        return rel
+
+    @classmethod
     def empty(cls, n: int) -> "Relation":
         return cls(n, (0,) * n)
 
@@ -129,26 +140,28 @@ class Relation:
         """Induced relation on *labels*, renumbered in increasing order.
 
         O(k) row operations when the k labels are one run lo..hi, else one
-        pass over the set bits that their rows keep.
+        pass over the set bits that their rows keep.  A label outside
+        0..n-1 raises ValueError.
         """
         kept = sorted(set(labels))
         k = len(kept)
         if not k:
-            return Relation(0, ())
-        if kept[0] >= 0 and kept[-1] - kept[0] == k - 1:
-            # one run lo..hi: cut every row by shift-and-mask; the rows
-            # are listed first so the tuple is built at its exact size (a
-            # tuple grown from a generator is resized, which fragments
-            # the heap a long run allocates into)
+            return Relation._unchecked(0, ())
+        if kept[0] < 0 or kept[-1] >= self.n:
+            bad = kept[0] if kept[0] < 0 else kept[-1]
+            raise ValueError(f"label {bad} out of range for size {self.n}")
+        if kept[-1] - kept[0] == k - 1:
+            # one run lo..hi: shift-and-mask each row into a list, since a
+            # tuple grown from a generator is resized, fragmenting the heap
             lo, mask = kept[0], (1 << k) - 1
-            return Relation(k, tuple([self.rows[i] >> lo & mask for i in kept]))
+            return Relation._unchecked(k, [self.rows[i] >> lo & mask for i in kept])
         # cut each row to the kept labels first, so that only the bits it
         # keeps are walked, each one looked up as its renumbered bit
         keep = sum([1 << old for old in kept])
         new_bit = {old: 1 << new for new, old in enumerate(kept)}.__getitem__
-        return Relation(k, tuple([
+        return Relation._unchecked(k, [
             sum(map(new_bit, bits(self.rows[old] & keep))) for old in kept
-        ]))
+        ])
 
     def relabel(self, image: Iterable[int]) -> "Relation":
         """Rename label i to image[i]; *image* must be a permutation."""
@@ -159,7 +172,7 @@ class Relation:
         for i, row in enumerate(self.rows):
             for j in bits(row):
                 rows[image[i]] |= 1 << image[j]
-        return Relation(self.n, tuple(rows))
+        return Relation._unchecked(self.n, rows)
 
 
 def _transpose(rows: tuple[int, ...] | list[int]) -> list[int]:
@@ -341,18 +354,14 @@ def _join(left: CatalanPair, right: CatalanPair) -> CatalanPair:
     """
     k, m = left.n, right.n
     n = k + m + 1
-    x = k
     right_mask = ((1 << m) - 1) << (k + 1)
-
-    s_rows = [left.S.rows[i] | (1 << x) for i in range(k)]
+    s_rows = [row | 1 << k for row in left.S.rows]
     s_rows.append(0)
     s_rows.extend(row << (k + 1) for row in right.S.rows)
-
-    r_rows = [left.R.rows[i] | right_mask for i in range(k)]
+    r_rows = [row | right_mask for row in left.R.rows]
     r_rows.append(right_mask)
     r_rows.extend(row << (k + 1) for row in right.R.rows)
-
-    return CatalanPair(Relation(n, tuple(s_rows)), Relation(n, tuple(r_rows)))
+    return CatalanPair(Relation._unchecked(n, s_rows), Relation._unchecked(n, r_rows))
 
 
 def decompose_pair(pair: CatalanPair) -> tuple[int, CatalanPair, CatalanPair]:
@@ -493,31 +502,28 @@ def _tree_rows(
 
     Labels are the nodes' preorder positions, or their inorder positions
     if *inorder* is set.  A node's S row is its parent's S row, plus the
-    parent when the node is a left child.  Its R row is the R row it
-    inherits plus its own right subtree: a left child inherits its
-    parent's whole R row, a right child only what the parent inherited.
-    A subtree's labels are consecutive in either order, so each right
-    subtree is one mask, and each row costs O(1) row operations.
+    parent when the node is a left child.  A node and its left subtree
+    R-precede its right subtree, so the rest follows from the preorder
+    position p, the left size a and the S row.  Preorder: x = p, and R_x
+    is every label above x + a.  Inorder: the labels below p's subtree
+    are the nodes before p in preorder less the S row, so
+    x = p - |S_x| + a and R_x is every label above x except the S row.
+    Each row costs O(1) row operations.
     """
-    n = len(left_sizes)
-    first = [0] * n  # by preorder position: lowest label in the subtree
-    s_down = [0] * n  # by position: the S row
-    r_down = [0] * n  # by position: the inherited R row
+    full = (1 << len(left_sizes)) - 1
+    s_down = [0] * len(left_sizes)  # by preorder position: the S row
     for p, a in enumerate(left_sizes):
-        b = size[p] - 1 - a
-        x = first[p] + a if inorder else first[p]
         s_row = s_down[p]
-        r_row = r_down[p] | ((1 << b) - 1) << (first[p] + a + 1)
+        if inorder:
+            x = p - s_row.bit_count() + a
+            r_row = full >> (x + 1) << (x + 1) ^ s_row
+        else:
+            x, r_row = p, full >> (p + a + 1) << (p + a + 1)
         yield x, s_row, r_row
         if a:
-            first[p + 1] = first[p] if inorder else x + 1
             s_down[p + 1] = s_row | 1 << x
-            r_down[p + 1] = r_row
-        if b:
-            q = p + a + 1
-            first[q] = first[p] + a + 1
-            s_down[q] = s_row
-            r_down[q] = r_down[p]
+        if size[p] - 1 - a:
+            s_down[p + a + 1] = s_row
 
 
 @dataclass(frozen=True)

@@ -62,19 +62,23 @@ def grow(n: int, join: Callable, leaf: object) -> list:
 
 
 def left_sizes(tree: Tree) -> list[int]:
-    """The size of each node's left subtree, nodes in preorder.
-
-    The list fixes the tree (see :func:`from_left_sizes`).  ``fold`` calls
-    its join in reverse preorder, so the sizes arrive reversed.
-    """
+    """The size of each node's left subtree, nodes in preorder; the list
+    fixes the tree (see :func:`from_left_sizes`).  One preorder walk: a
+    node's position, pushed under its left subtree, sets its size there."""
     sizes: list[int] = []
-
-    def join(left: int, right: int) -> int:
-        sizes.append(left)
-        return left + right + 1
-
-    fold(tree, join, 0)
-    sizes.reverse()
+    stack: list = [tree] if tree else []  # subtrees to walk, and positions
+    while stack:
+        node = stack.pop()
+        if node.__class__ is int:
+            sizes[node] = len(sizes) - 1 - node
+            continue
+        left, right = node
+        if right:
+            stack.append(right)
+        if left:
+            stack.append(len(sizes))
+            stack.append(left)
+        sizes.append(0)
     return sizes
 
 

@@ -8,12 +8,14 @@ composition, written without that builder so that the tests compare two
 independent routes; they do not check their input, so pass valid values.
 The ``brute_validate_*`` scans, the pairwise axiom check
 (``reference_check_axioms``), the per-bit pair split
-(``reference_restrict``, ``reference_decompose_pair``) and the per-bit
+(``reference_restrict``, ``reference_decompose_pair``), the per-bit
 pair reading (``reference_derived_order``, ``reference_canonicalize``,
-``reference_pair_to_tree``) are the quadratic or bit-by-bit versions that
-the package's linear ones replaced, with the same messages.  ``reference_serialize_pair`` writes the pair file by
-sorting every line as text, and the size helpers at the end have no use
-in the package.  ``reference_from_dyck_word`` (a todo-stack parser),
+``reference_pair_to_tree``) and the inherited-row pair builder
+(``reference_tree_rows``) are the quadratic, bit-by-bit or row-carrying
+versions that the package's linear ones replaced, with the same
+messages.  ``reference_serialize_pair`` writes the pair file by sorting
+every line as text, and the size helpers at the end have no use in the
+package.  ``reference_from_dyck_word`` (a todo-stack parser),
 ``reference_enumerate_seq2`` (a backtracking search),
 ``seq2_from_tree`` (seq2's rule as two folds) and the polyomino column
 codec (``reference_polyomino_to_tree``, ``reference_tree_to_polyomino``:
@@ -23,6 +25,8 @@ polyomino letter maps replaced.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from catpairs import trees
 from catpairs.errors import InvariantViolation
@@ -576,6 +580,37 @@ def reference_canonicalize(pair: CatalanPair) -> CanonicalPair:
     for new, old in enumerate(order):
         image[old] = new
     return CanonicalPair._unchecked(pair.relabel(image))
+
+
+def reference_tree_rows(
+    left_sizes: list[int], size: list[int], inorder: bool
+) -> Iterator[tuple[int, int, int]]:
+    """``relations._tree_rows`` carrying each node's inherited R row down
+    the tree instead of writing it by formula.
+
+    A node's R row is the R row it inherits plus its own right subtree: a
+    left child inherits its parent's whole R row, a right child only what
+    the parent inherited.
+    """
+    n = len(left_sizes)
+    first = [0] * n  # by preorder position: lowest label in the subtree
+    s_down = [0] * n  # by position: the S row
+    r_down = [0] * n  # by position: the inherited R row
+    for p, a in enumerate(left_sizes):
+        b = size[p] - 1 - a
+        x = first[p] + a if inorder else first[p]
+        s_row = s_down[p]
+        r_row = r_down[p] | ((1 << b) - 1) << (first[p] + a + 1)
+        yield x, s_row, r_row
+        if a:
+            first[p + 1] = first[p] if inorder else x + 1
+            s_down[p + 1] = s_row | 1 << x
+            r_down[p + 1] = r_row
+        if b:
+            q = p + a + 1
+            first[q] = first[p] + a + 1
+            s_down[q] = s_row
+            r_down[q] = r_down[p]
 
 
 def reference_valid_pair_tree(pair: CatalanPair) -> trees.Tree:

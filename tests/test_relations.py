@@ -83,6 +83,14 @@ def test_relation_restrict_and_relabel():
     assert set(swapped.pairs) == {(1, 0), (0, 3), (1, 3)}
 
 
+@pytest.mark.parametrize("labels, bad", [
+    ([5], 5), ([1, 2, 3], 3), ([-1], -1), ([-1, 0, 2], -1),
+])
+def test_restrict_rejects_labels_out_of_range(labels, bad):
+    with pytest.raises(ValueError, match=f"^label {bad} out of range for size 3$"):
+        Relation(3, (0, 0, 0)).restrict(labels)
+
+
 def test_is_strict_order():
     assert is_strict_order(Relation.from_pairs(3, [(0, 1), (1, 2), (0, 2)]))
     assert not is_strict_order(Relation.from_pairs(3, [(0, 1), (1, 2)]))

@@ -28,16 +28,20 @@ from catpairs import (
     total_order,
     tree_to_pair,
 )
-from catpairs import grammar, relations, trees
+from catpairs import encoders, grammar, relations, trees
+from catpairs.bijections import assemble_perm_312
 from catpairs.relations import bits
+from catpairs.structures import PATTERNS, perm_from_312
 from conftest import random_tree
 from oracles import (
+    join_fold_pair,
     reference_canonicalize,
     reference_check_axioms,
     reference_decompose_pair,
     reference_derived_order,
     reference_pair_to_tree,
     reference_restrict,
+    reference_tree_rows,
 )
 
 
@@ -370,3 +374,74 @@ def test_check_memory_follows_the_input(s_pairs, gap):
         tracemalloc.stop()
     assert report.violations == (("ii", gap),)
     assert peak < 8 * 2**20
+
+
+def tree_row_cases():
+    """(name, preorder left sizes) of every tree with n <= 9, and of
+    random trees and both chains up to n = 2000."""
+    for n in range(10):
+        for t in trees.all_trees(n):
+            yield trees.serialize(t), trees.left_sizes(t)
+    rng = random.Random("tree rows")
+    for n in (10, 100, 1000, 2000):
+        for shape, left_sizes in shapes(rng, n).items():
+            yield f"{shape} {n}", left_sizes
+
+
+def test_tree_rows_formula_agrees_with_inherited_rows():
+    # the R row written from label, left size and S row against the R
+    # row carried down the tree, row by row, in both labellings
+    for name, left_sizes in tree_row_cases():
+        size = trees.subtree_sizes(left_sizes)
+        for inorder in (False, True):
+            assert list(relations._tree_rows(left_sizes, size, inorder)) == list(
+                reference_tree_rows(left_sizes, size, inorder)
+            ), (name, inorder)
+
+
+def built_pairs(rng: random.Random, t: trees.Tree) -> list[CatalanPair]:
+    """The pairs that the builders trusted to skip the row check return
+    for tree *t*: ``_left_sizes_pair`` in both labellings, the inversion
+    pair of each of the six classes, the ``_join`` fold, ``relabel``,
+    ``canonicalize`` and the factors that ``restrict`` cuts for
+    ``decompose_pair`` (one run per block on canonical labels, scattered
+    labels on shuffled ones)."""
+    left_sizes = trees.left_sizes(t)
+    canonical = grammar._left_sizes_pair(left_sizes, inorder=False)
+    inorder = grammar._left_sizes_pair(left_sizes, inorder=True)
+    relabelled = shuffled(rng, canonical)
+    built = [canonical, inorder, join_fold_pair(t), relabelled]
+    p = assemble_perm_312(t)
+    built += [
+        encoders.pair_for_avoidance_class(perm_from_312(p, pattern), pattern)
+        for pattern in PATTERNS
+    ]
+    built += [canonicalize(inorder).pair, canonicalize(relabelled).pair]
+    if t:
+        for pair in (canonical, relabelled):
+            _, left, right = decompose_pair(pair)
+            built += [left, right]
+    return built
+
+
+def assert_rows_pass_the_public_check(pair: CatalanPair) -> None:
+    for rel in (pair.S, pair.R):
+        assert type(rel.rows) is tuple
+        assert Relation(rel.n, rel.rows) == rel
+
+
+@pytest.mark.parametrize("n", [*range(8), 16, 64, 128, 512])
+def test_trusted_builders_return_rows_the_public_check_accepts(n):
+    # the builders construct relations without the row check; every row
+    # they return must still lie in range and off the diagonal
+    rng = random.Random(f"trusted:{n}")
+    tree_set = trees.all_trees(n) if n < 8 else [random_tree(rng, n) for _ in range(3)]
+    for t in tree_set:
+        for pair in built_pairs(rng, t):
+            assert_rows_pass_the_public_check(pair)
+    for _ in range(20 if n < 8 else 3):
+        rel = Relation(n, tuple(rng.getrandbits(n) & ~(1 << i) for i in range(n)))
+        labels = rng.sample(range(n), rng.randrange(n + 1))
+        for kept in (labels, range(rng.randrange(n + 1))):
+            sub = rel.restrict(kept)
+            assert_rows_pass_the_public_check(CatalanPair(sub, sub))
