@@ -24,8 +24,8 @@ from .relations import (
     CatalanPair,
     Relation,
     _canonical_left_sizes,
+    _in_degrees,
     _tree_rows,
-    bits,
     decompose_pair,
 )
 
@@ -65,8 +65,9 @@ def pair_to_tree(pair: CatalanPair) -> trees.Tree:
     message if *pair* is invalid.  Its two factors are induced subpairs of
     a valid pair and therefore valid, so their trees are read off their
     bitsets by :func:`_valid_pair_tree` with no further check.  On a
-    canonical pair the whole read is O(n) row operations plus the split's
-    n - 1 block labels; other labellings walk S's set bits twice.
+    canonical pair the whole read is O(n) row operations; other
+    labellings add a read of S's columns for the check and a count of
+    each factor's S in-degrees.
     """
     if pair.n == 0:
         return trees.EMPTY
@@ -84,16 +85,13 @@ def _valid_pair_tree(pair: CatalanPair) -> trees.Tree:
     S-column.  A factor of a canonical pair is canonical, and its left
     sizes come from its R popcounts alone
     (``relations._canonical_left_sizes``) in O(n) row operations; any
-    other labelling costs O(n + |S|).  No recursion; an invalid pair gives
-    a meaningless tree or an error.
+    other labelling counts S's in-degrees (``relations._in_degrees``).
+    No recursion; an invalid pair gives a meaningless tree or an error.
     """
     left_sizes = _canonical_left_sizes(pair.S, pair.R)
     if left_sizes is None:
         n = pair.n
-        s_in = [0] * n
-        for row in pair.S.rows:
-            for j in bits(row):
-                s_in[j] += 1
+        s_in = _in_degrees(pair.S.rows)
         left_sizes = [0] * n
         for i, row in enumerate(pair.R.rows):
             left_sizes[n - 1 - row.bit_count() - s_in[i]] = s_in[i]

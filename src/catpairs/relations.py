@@ -24,17 +24,22 @@ Cost model: deciding whether a pair is valid (``check_axioms``,
 already canonical (every S row points only to smaller labels and every R
 row only to larger ones), as on every preorder-encoded value and every
 factor of a canonical pair; ``canonicalize`` returns such a pair as it
-is.  Any other labelling adds one pass over the set bits of S, and
-``canonicalize`` relabels it with one pass over the set bits of both
-relations.  A check's memory follows the input: an invalid pair is
-rejected before any mask larger than its own rows is built.  Only an
-invalid pair pays for naming its witnesses: O(n) row operations plus
-one pass over the set bits of both relations.  ``decompose_pair`` is one
-check plus O(n) row operations to find and cut its two blocks.
-``Relation.restrict`` takes O(k) row operations when its k labels form
-one contiguous run, as both blocks of a canonical pair do; a scattered
-label set, as on a relabelled pair, walks the kept bits of the kept
-rows.
+is.  Any other labelling adds a read of S's columns (:func:`_transpose`):
+from 24 labels up, unless S is sparse, S is packed into one N x N bit
+square (N the next power of two >= n) and transposed by O(log n)
+operations in C over all of its bits; otherwise the read is one pass
+over S's set bits.  ``canonicalize`` relabels such a pair with one pass
+over the set bits of both relations.  A check's memory follows the
+input: an invalid pair is rejected before any mask larger than its own
+rows is built, and the square is built only when it holds at most 64
+bits per set bit.  Only an invalid pair pays for naming its witnesses:
+O(n) row operations, a column read of the lower triangles of S | R and
+S & R each, and one pass over the set bits of both relations.
+``decompose_pair`` is one check plus O(n) row operations to find and
+cut its two blocks.  ``Relation.restrict`` takes O(k) row operations
+when its k labels form one contiguous run, as both blocks of a
+canonical pair do; a scattered label set, as on a relabelled pair,
+walks the kept bits of the kept rows.
 
 Every pass over set bits goes through :func:`bits`.  It walks a dense
 row in C, at a cost per binary digit, and a sparse row in Python, at a
@@ -42,6 +47,7 @@ cost per set bit.  On a valid pair R holds n(n-1)/2 - |S| of the n(n-1)
 possible bits, so R's rows are dense.  The loop body of a pass still
 runs in Python for each bit, except in the transitivity witness and a
 scattered ``restrict``, which fold what they walk with ``map`` in C.
+A column read through the bit square walks no bits at all.
 """
 
 from __future__ import annotations
@@ -133,17 +139,23 @@ class Relation:
         return 0 <= i < self.n and 0 <= j < self.n and bool(self.rows[i] >> j & 1)
 
     def cols(self) -> tuple[int, ...]:
-        """Column masks: bit i of cols()[j] is set iff (i, j) holds."""
+        """Column masks: bit i of cols()[j] is set iff (i, j) holds,
+        read by :func:`_transpose`."""
         return tuple(_transpose(self.rows))
 
     def restrict(self, labels: Iterable[int]) -> "Relation":
         """Induced relation on *labels*, renumbered in increasing order.
 
         O(k) row operations when the k labels are one run lo..hi, else one
-        pass over the set bits that their rows keep.  A label outside
-        0..n-1 raises ValueError.
+        pass over the set bits that their rows keep.  A range of step 1,
+        as ``decompose_pair`` passes for a run, is used as it is; any
+        other labels are sorted and deduplicated.  A label outside 0..n-1
+        raises ValueError.
         """
-        kept = sorted(set(labels))
+        if type(labels) is range and labels.step == 1:
+            kept = labels
+        else:
+            kept = sorted(set(labels))
         k = len(kept)
         if not k:
             return Relation._unchecked(0, ())
@@ -164,9 +176,11 @@ class Relation:
         ])
 
     def relabel(self, image: Iterable[int]) -> "Relation":
-        """Rename label i to image[i]; *image* must be a permutation."""
+        """Rename label i to image[i]; *image* must be a permutation of
+        0..n-1, given as ints."""
         image = tuple(image)
-        if sorted(image) != list(range(self.n)):
+        # a label that only equals an int, like 2.0, makes the sum a non-int
+        if sorted(image) != list(range(self.n)) or type(sum(image)) is not int:
             raise ValueError("relabelling must be a permutation of the labels")
         rows = [0] * self.n
         for i, row in enumerate(self.rows):
@@ -175,13 +189,91 @@ class Relation:
         return Relation._unchecked(self.n, rows)
 
 
+_KERNEL_MIN_N = 24  # see _square_size
+_KERNEL_MAX_SPARSITY = 64
+
+
+def _square_size(rows: tuple[int, ...] | list[int]) -> int:
+    """The side N of the square that :func:`_transpose_square` reads
+    *rows* through, or 0 if one pass over their set bits costs less.
+
+    The square pays from 24 rows up, unless at most one bit in 64 of it
+    is set (N the next power of two >= n); so its memory stays within a
+    fixed multiple of the set bits.
+    """
+    n = len(rows)
+    if n < _KERNEL_MIN_N:
+        return 0
+    size = 1 << (n - 1).bit_length()
+    if sum(map(int.bit_count, rows)) * _KERNEL_MAX_SPARSITY < size * size:
+        return 0
+    return size
+
+
 def _transpose(rows: tuple[int, ...] | list[int]) -> list[int]:
-    """Column masks of square bitset *rows*, one pass over their set bits."""
+    """Column masks of square bitset *rows*: through the bit square in C
+    when :func:`_square_size` picks one, else one pass over their set
+    bits, one Python step each."""
+    size = _square_size(rows)
+    if size:
+        return _transpose_square(rows, size)
     cols = [0] * len(rows)
     for i, row in enumerate(rows):
+        bit = 1 << i
         for j in bits(row):
-            cols[j] |= 1 << i
+            cols[j] |= bit
     return cols
+
+
+def _in_degrees(rows: tuple[int, ...] | list[int]) -> list[int]:
+    """Popcounts of the columns of square bitset *rows*: of the square's
+    columns when :func:`_square_size` picks one, else counted per set bit,
+    which allocates nothing per bit."""
+    size = _square_size(rows)
+    if size:
+        return list(map(int.bit_count, _transpose_square(rows, size)))
+    counts = [0] * len(rows)
+    for row in rows:
+        for j in bits(row):
+            counts[j] += 1
+    return counts
+
+
+def _transpose_square(rows: tuple[int, ...] | list[int], size: int) -> list[int]:
+    """Column masks of *rows* padded to a *size* x *size* bit matrix;
+    *size* is a power of two, at least 8 and at least ``len(rows)``.
+
+    The rows are packed into one integer, bit (i, j) at i * size + j.
+    For s = 1, 2, ..., size / 2 a masked delta swap then trades bit s of
+    the row index with bit s of the column index: each bit (i, j) with
+    i & s == 0 and j & s != 0 swaps places with (i + s, j - s), which
+    lies s * (size - 1) places higher.  Each of the log2(size) swaps is
+    a few whole-integer operations; the result is cut back into columns.
+    """
+    n, width = len(rows), size // 8  # width: bytes per row
+    packed = b"".join([row.to_bytes(width, "little") for row in rows])
+    x = int.from_bytes(packed, "little")
+    s = 1
+    while s < size:
+        d = s * (size - 1)
+        t = (x ^ x >> d) & _swap_mask(size, s)
+        x ^= t ^ t << d
+        s <<= 1
+    cols = x.to_bytes(n * width, "little")
+    return [
+        int.from_bytes(cols[j * width:(j + 1) * width], "little")
+        for j in range(n)
+    ]
+
+
+def _swap_mask(size: int, s: int) -> int:
+    """The bits (i, j) of a *size* x *size* matrix with i & s == 0 and
+    j & s != 0, built from one row's bytes."""
+    high_halves = ((1 << size) - 1) // ((1 << 2 * s) - 1) * (((1 << s) - 1) << s)
+    row = high_halves.to_bytes(size // 8, "little")
+    return int.from_bytes(
+        (row * s + bytes(len(row) * s)) * (size // (2 * s)), "little"
+    )
 
 
 def transitivity_witness(rel: Relation) -> tuple[int, int] | None:
@@ -216,10 +308,11 @@ class AxiomReport:
 def check_axioms(S: Relation, R: Relation) -> AxiomReport:
     """Check the four axioms; report one witness per failing axiom.
 
-    A valid pair costs O(n) row operations, plus one pass over S's set
-    bits unless its labels are canonical (see :func:`_derived_order`).
-    Only an invalid pair goes on to name its witnesses, in O(n) row
-    operations plus one pass over the set bits of both relations.
+    A valid pair costs O(n) row operations, plus a read of S's columns
+    unless its labels are canonical (see :func:`_derived_order`).  Only
+    an invalid pair goes on to name its witnesses, in O(n) row operations,
+    two column reads of lower triangles and one pass over the set bits of
+    both relations.
     """
     if S.n != R.n:
         raise ValueError("S and R must live on the same label set")
@@ -246,22 +339,26 @@ def _witnesses(S: Relation, R: Relation) -> tuple[tuple[str, tuple[int, ...]], .
     # doubly related when D_i or D_j does, or both U_i and U_j do.  Row i
     # reads its columns only at j > i, so only the bits below the
     # diagonal are transposed; they are cut off by shifts, which cost
-    # what the row holds, not what its label is.
-    union = [s | r for s, r in zip(S.rows, R.rows)]
-    both = [s & r for s, r in zip(S.rows, R.rows)]
-    union_cols = _transpose([row ^ row >> i << i for i, row in enumerate(union)])
-    both_cols = _transpose([row ^ row >> i << i for i, row in enumerate(both)])
+    # what the row holds, not what its label is.  U_i and D_i themselves
+    # are formed again where the scan reads them, so that no list holds
+    # the bits above the diagonal.
+    union_low, both_low = [], []
+    for i, (s, r) in enumerate(zip(S.rows, R.rows)):
+        union, both = s | r, s & r
+        union_low.append(union ^ union >> i << i)
+        both_low.append(both ^ both >> i << i)
+    union_cols = _transpose(union_low)
+    both_cols = _transpose(both_low)
     unrelated = doubled = None
-    for i in range(n):
+    for i, (s, r) in enumerate(zip(S.rows, R.rows)):
+        union = s | r
         if unrelated is None:
-            related = (union[i] | union_cols[i]) >> (i + 1)
+            related = (union | union_cols[i]) >> (i + 1)
             j = i + (~related & (related + 1)).bit_length()
             if j < n:
                 unrelated = (i, j)
         if doubled is None:
-            twice = (
-                both[i] | both_cols[i] | union[i] & union_cols[i]
-            ) >> (i + 1)
+            twice = (s & r | both_cols[i] | union & union_cols[i]) >> (i + 1)
             if twice:
                 doubled = (i, i + (twice & -twice).bit_length())
         if unrelated is not None and doubled is not None:
@@ -382,6 +479,8 @@ def decompose_pair(pair: CatalanPair) -> tuple[int, CatalanPair, CatalanPair]:
     with an empty S row are the tree's right spine, and each one's R row
     is its own right subtree, so x is the one with the most R-successors;
     the right block is x's R row and the left block is everything else.
+    A block that is one run, as both are on a canonical pair, is cut as a
+    range, with no label listed or sorted.
     """
     if pair.n == 0:
         raise ValueError("cannot decompose an empty pair")
@@ -392,8 +491,8 @@ def decompose_pair(pair: CatalanPair) -> tuple[int, CatalanPair, CatalanPair]:
     )
     b_mask = pair.R.rows[x]
     a_mask = ((1 << pair.n) - 1) ^ (1 << x) ^ b_mask
-    left_labels = list(bits(a_mask))
-    right_labels = list(bits(b_mask))
+    left_labels = _ascending_labels(a_mask)
+    right_labels = _ascending_labels(b_mask)
     left = CatalanPair(
         pair.S.restrict(left_labels), pair.R.restrict(left_labels)
     )
@@ -403,12 +502,24 @@ def decompose_pair(pair: CatalanPair) -> tuple[int, CatalanPair, CatalanPair]:
     return x, left, right
 
 
+def _ascending_labels(mask: int) -> range | list[int]:
+    """The set bits of *mask*, ascending: a range when they form one run,
+    as both blocks of a canonical pair do, so that none is walked."""
+    if not mask:
+        return range(0)
+    start = (mask & -mask).bit_length() - 1
+    run = mask >> start
+    if run & (run + 1):
+        return list(bits(mask))
+    return range(start, start + run.bit_length())
+
+
 def total_order(pair: CatalanPair) -> tuple[int, ...]:
     """Labels sorted by the order L with i L j iff i R j or j S i.
 
     For a valid pair L is always a strict total order.  The order is
     derived and the pair validated together, in O(n) row operations plus,
-    unless the labels are canonical, one pass over S's set bits; an
+    unless the labels are canonical, a read of S's columns; an
     invalid pair raises InvariantViolation with its first axiom witness.
     """
     order = _derived_order(pair.S, pair.R)
@@ -431,8 +542,8 @@ def _derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
     and the pair is valid exactly when the builder (:func:`_tree_rows`)
     rebuilds it from them.  O(n) row operations.
 
-    Any other labelling takes one pass over S's set bits for its columns,
-    then O(n) row operations: the pair is valid exactly when L is a
+    Any other labelling reads S's columns (:func:`_transpose`), then
+    O(n) row operations: the pair is valid exactly when L is a
     strict total order, every S-column is that block and the block sizes
     fill a binary tree.  The L-row popcounts are compared with the
     positions before any prefix mask is built, so the masks hold no more

@@ -7,7 +7,9 @@ per-family meanings of S and R, and the two bottom-up folds of pair
 composition, written without that builder so that the tests compare two
 independent routes; they do not check their input, so pass valid values.
 The ``brute_validate_*`` scans, the pairwise axiom check
-(``reference_check_axioms``), the per-bit pair split
+(``reference_check_axioms``), the bit-by-bit column read
+(``plain_transpose``, which every reference below reads columns
+through, never ``Relation.cols``), the per-bit pair split
 (``reference_restrict``, ``reference_decompose_pair``), the per-bit
 pair reading (``reference_derived_order``, ``reference_canonicalize``,
 ``reference_pair_to_tree``) and the inherited-row pair builder
@@ -491,6 +493,17 @@ def reference_tree_to_polyomino(t: trees.Tree) -> Polyomino:
 
 # ------------------------------------------------------- pair checking
 
+def plain_transpose(rows) -> list[int]:
+    """Column masks of square bitset *rows*, read bit by bit."""
+    n = len(rows)
+    cols = [0] * n
+    for i, row in enumerate(rows):
+        for j in range(n):
+            if row >> j & 1:
+                cols[j] |= 1 << i
+    return cols
+
+
 def reference_check_axioms(S: Relation, R: Relation) -> AxiomReport:
     """``check_axioms`` scanning every pair (i, j) for axioms (ii) and
     (iii) on every input."""
@@ -545,7 +558,7 @@ def reference_derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
     """``relations._derived_order`` from S's columns and n prefix masks on
     every labelling, canonical or not."""
     n = S.n
-    s_cols = S.cols()
+    s_cols = plain_transpose(S.rows)
     l_rows = []
     for r_row, s_col in zip(R.rows, s_cols):
         if r_row & s_col:
@@ -657,8 +670,8 @@ def reference_decompose_pair(
     if pair.n == 0:
         raise ValueError("cannot decompose an empty pair")
     _require_valid(pair, "decompose")
-    s_cols = pair.S.cols()
-    r_cols = pair.R.cols()
+    s_cols = plain_transpose(pair.S.rows)
+    r_cols = plain_transpose(pair.R.rows)
     candidates = [
         x for x in range(pair.n) if pair.S.rows[x] == 0 and r_cols[x] == 0
     ]

@@ -17,7 +17,6 @@ import oracles
 from catpairs import (
     canonicalize,
     family,
-    grammar,
     pair_to_tree,
     relations,
     tree_to_pair,
@@ -114,8 +113,7 @@ def test_derived_encoders_take_no_per_bit_pass(monkeypatch):
     def no_pairs(cls, *args):
         raise AssertionError("from_pairs builds a relation pair by pair")
 
-    for module in (relations, grammar):
-        monkeypatch.setattr(module, "bits", counting_bits)
+    monkeypatch.setattr(relations, "bits", counting_bits)
     monkeypatch.setattr(relations.Relation, "from_pairs", classmethod(no_pairs))
     for encode, value in values:
         assert encode(value).n == 500

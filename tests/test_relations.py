@@ -23,6 +23,7 @@ from catpairs import (
     serialize_pair,
     total_order,
 )
+from catpairs import relations
 from catpairs.relations import bits
 from conftest import SEVEN_R, SEVEN_S
 
@@ -89,6 +90,29 @@ def test_relation_restrict_and_relabel():
 def test_restrict_rejects_labels_out_of_range(labels, bad):
     with pytest.raises(ValueError, match=f"^label {bad} out of range for size 3$"):
         Relation(3, (0, 0, 0)).restrict(labels)
+
+
+@pytest.mark.parametrize("image", [[0, 1, 2.0], [2.0, 1, 0]])
+def test_relabel_rejects_images_that_are_not_ints(image):
+    # each image compares equal to a permutation of 0..2
+    with pytest.raises(
+        ValueError, match="^relabelling must be a permutation of the labels$"
+    ):
+        Relation(3, (4, 0, 0)).relabel(image)
+
+
+def test_restrict_takes_a_run_without_sorting(monkeypatch):
+    # decompose_pair passes each block of a canonical pair as a range of
+    # step 1; any other labels are still sorted and deduplicated
+    rel = Relation.from_pairs(5, [(0, 1), (1, 3), (3, 4), (4, 0), (2, 4)])
+    runs = [range(0), range(2, 3), range(1, 5), range(5)]
+    expected = [rel.restrict(list(run)[::-1] * 2) for run in runs]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a run is sorted again")
+
+    monkeypatch.setattr(relations, "sorted", forbidden, raising=False)
+    assert [rel.restrict(run) for run in runs] == expected
 
 
 def test_is_strict_order():

@@ -35,6 +35,7 @@ from catpairs.structures import PATTERNS, perm_from_312
 from conftest import random_tree
 from oracles import (
     join_fold_pair,
+    plain_transpose,
     reference_canonicalize,
     reference_check_axioms,
     reference_decompose_pair,
@@ -57,7 +58,7 @@ def reference_total_order(
         raise InvariantViolation(
             f"total order: axiom ({axiom}) fails at {witness}"
         )
-    s_cols = pair.S.cols()
+    s_cols = plain_transpose(pair.S.rows)
     l_rows = [pair.R.rows[i] | s_cols[i] for i in range(pair.n)]
     order = sorted(range(pair.n), key=lambda i: -l_rows[i].bit_count())
     for a in range(pair.n):
@@ -253,8 +254,8 @@ def shapes(rng: random.Random, n: int) -> dict[str, list[int]]:
 
 def test_decompose_never_walks_r(monkeypatch):
     # canonical pairs of every shape are checked, canonicalized and read
-    # with no column, no relabelling and no walk over S or R: the only
-    # bits walked are the n - 1 block labels that decompose_pair lists
+    # with no column, no relabelling and no walk over S or R; both blocks
+    # are runs, which decompose_pair cuts without listing their labels
     rng = random.Random("decompose:cost")
     n = 1000
     cases = []
@@ -277,20 +278,15 @@ def test_decompose_never_walks_r(monkeypatch):
         raise AssertionError("a canonical pair walks no column or relabelling")
 
     monkeypatch.setattr(relations, "bits", counting_bits)
-    monkeypatch.setattr(grammar, "bits", counting_bits)
     monkeypatch.setattr(Relation, "cols", forbidden)
     monkeypatch.setattr(Relation, "relabel", forbidden)
     for pair, expected, text in cases:
         assert check_axioms(pair.S, pair.R).valid
         assert total_order(pair) == tuple(range(n))
         assert canonicalize(pair).pair is pair
-        assert walked == 0
         assert decompose_pair(pair) == expected
-        assert walked == n - 1
-        walked = 0
         assert trees.serialize(pair_to_tree(pair)) == text
-        assert walked == n - 1
-        walked = 0
+        assert walked == 0
 
 
 KERNEL = (relations._derived_order, check_axioms, canonicalize, pair_to_tree)
@@ -376,6 +372,24 @@ def test_check_memory_follows_the_input(s_pairs, gap):
     assert peak < 8 * 2**20
 
 
+def test_check_memory_follows_long_sparse_rows():
+    # every row but the last holds only the top label: n - 1 set bits in
+    # an n x n square, so the columns must be read bit by bit, not through
+    # a 2^30-bit square, and the witness scan must copy no whole row
+    n = 20000
+    top = 1 << (n - 1)
+    S = Relation(n, (top,) * (n - 1) + (0,))
+    R = Relation.empty(n)
+    tracemalloc.start()
+    try:
+        report = check_axioms(S, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.violations == (("ii", (0, 1)),)
+    assert peak < 8 * 2**20
+
+
 def tree_row_cases():
     """(name, preorder left sizes) of every tree with n <= 9, and of
     random trees and both chains up to n = 2000."""
@@ -445,3 +459,106 @@ def test_trusted_builders_return_rows_the_public_check_accepts(n):
         for kept in (labels, range(rng.randrange(n + 1))):
             sub = rel.restrict(kept)
             assert_rows_pass_the_public_check(CatalanPair(sub, sub))
+
+
+# ---------------------------------------------------------- column reads
+
+def random_rows(rng: random.Random, n: int, density: float) -> list[int]:
+    """n rows of n bits, each bit set with probability *density*."""
+    if density in (0, 1):
+        return [((1 << n) - 1) * density for _ in range(n)]
+    return [
+        sum(1 << j for j in range(n) if rng.random() < density) for _ in range(n)
+    ]
+
+
+def walked_bits(monkeypatch) -> list[int]:
+    """A list that collects every bit walked through ``relations.bits``."""
+    walked = []
+    real_bits = relations.bits
+
+    def counting_bits(mask):
+        for j in real_bits(mask):
+            walked.append(j)
+            yield j
+
+    monkeypatch.setattr(relations, "bits", counting_bits)
+    return walked
+
+
+DENSITIES = (0, 1 / 64, 1 / 8, 1 / 2, 1)
+
+
+def test_transpose_agrees_with_plain_transpose_on_small_matrices():
+    # the chosen path of the transpose and of the in-degree count, and the
+    # square kernel on the smallest square that holds the matrix and on
+    # one twice as wide, chosen or not
+    rng = random.Random("transpose:small")
+    for n in range(41):
+        size = max(8, 1 << (n - 1).bit_length())
+        for density in DENSITIES:
+            rows = random_rows(rng, n, density)
+            expected = plain_transpose(rows)
+            assert relations._transpose(rows) == expected, (n, density)
+            assert relations._in_degrees(rows) == [c.bit_count() for c in expected]
+            for width in (size, 2 * size):
+                assert relations._transpose_square(rows, width) == expected
+
+
+SQUARE_EDGES = [
+    n for k in range(3, 12) for n in (2**k - 1, 2**k, 2**k + 1)
+]
+
+
+@pytest.mark.parametrize("n", SQUARE_EDGES)
+def test_transpose_agrees_with_plain_transpose_at_square_edges(n, monkeypatch):
+    # dense matrices on both sides of each power of two: from 24 rows up
+    # the transpose and the in-degree count take the square kernel and
+    # walk no bit
+    rng = random.Random(f"transpose:edge:{n}")
+    rows = [rng.getrandbits(n) for _ in range(n)]
+    expected = plain_transpose(rows)
+    walked = walked_bits(monkeypatch)
+    assert relations._transpose(rows) == expected
+    assert relations._in_degrees(rows) == [c.bit_count() for c in expected]
+    assert (walked == []) == (n >= relations._KERNEL_MIN_N)
+    size = max(8, 1 << (n - 1).bit_length())
+    assert relations._transpose_square(rows, size) == expected
+
+
+def test_transpose_takes_the_square_only_past_both_cutoffs(monkeypatch):
+    rng = random.Random("transpose:cutoffs")
+    walked = walked_bits(monkeypatch)
+    min_n = relations._KERNEL_MIN_N
+    # size: a full matrix just below and at the row cutoff
+    for n in (min_n - 1, min_n):
+        rows = random_rows(rng, n, 1)
+        walked.clear()
+        assert relations._transpose(rows) == plain_transpose(rows)
+        assert (walked == []) == (n >= min_n), n
+    # density: one set bit fewer than, and exactly, one bit per
+    # _KERNEL_MAX_SPARSITY bits of the padded square, at two sizes
+    for n in (min_n, 40, 300):
+        size = 1 << (n - 1).bit_length()
+        needed = size * size // relations._KERNEL_MAX_SPARSITY
+        for count in (needed - 1, needed):
+            cells = rng.sample(range(n * n), count)
+            rows = [0] * n
+            for cell in cells:
+                rows[cell // n] |= 1 << cell % n
+            walked.clear()
+            assert relations._transpose(rows) == plain_transpose(rows)
+            assert (walked == []) == (count == needed), (n, count)
+
+
+def test_relabelled_left_chain_is_checked_without_walking_bits(monkeypatch):
+    # a left chain's S holds n(n-1)/2 bits: its columns come from the
+    # square kernel, so a valid pair of any labelling walks no bit
+    rng = random.Random("left chain:cost")
+    n = 1000
+    pair = shuffled(rng, canonical_pair(list(range(n - 1, -1, -1))))
+    expected = reference_derived_order(pair.S, pair.R)
+    walked = walked_bits(monkeypatch)
+    assert check_axioms(pair.S, pair.R).valid
+    assert total_order(pair) == expected
+    assert walked == []
