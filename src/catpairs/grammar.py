@@ -24,7 +24,6 @@ from .relations import (
     CatalanPair,
     Relation,
     _canonical_left_sizes,
-    _in_degrees,
     _tree_rows,
     decompose_pair,
 )
@@ -85,13 +84,13 @@ def _valid_pair_tree(pair: CatalanPair) -> trees.Tree:
     S-column.  A factor of a canonical pair is canonical, and its left
     sizes come from its R popcounts alone
     (``relations._canonical_left_sizes``) in O(n) row operations; any
-    other labelling counts S's in-degrees (``relations._in_degrees``).
+    other labelling counts S's in-degrees, the popcounts of ``S.cols()``.
     No recursion; an invalid pair gives a meaningless tree or an error.
     """
     left_sizes = _canonical_left_sizes(pair.S, pair.R)
     if left_sizes is None:
         n = pair.n
-        s_in = _in_degrees(pair.S.rows)
+        s_in = [col.bit_count() for col in pair.S.cols()]
         left_sizes = [0] * n
         for i, row in enumerate(pair.R.rows):
             left_sizes[n - 1 - row.bit_count() - s_in[i]] = s_in[i]

@@ -7,7 +7,8 @@ per-family meanings of S and R, and the two bottom-up folds of pair
 composition, written without that builder so that the tests compare two
 independent routes; they do not check their input, so pass valid values.
 The ``brute_validate_*`` scans, the pairwise axiom check
-(``reference_check_axioms``), the bit-by-bit column read
+(``reference_check_axioms``) and its per-bit transitivity fold
+(``reference_transitivity_witness``), the bit-by-bit column read
 (``plain_transpose``, which every reference below reads columns
 through, never ``Relation.cols``), the per-bit pair split
 (``reference_restrict``, ``reference_decompose_pair``), the per-bit
@@ -40,7 +41,6 @@ from catpairs.relations import (
     _join,
     _require_valid,
     bits,
-    transitivity_witness,
 )
 from catpairs.grammar import EMPTY_POLYOMINO, Polyomino
 from catpairs.structures import (
@@ -504,6 +504,19 @@ def plain_transpose(rows) -> list[int]:
     return cols
 
 
+def reference_transitivity_witness(rel: Relation) -> tuple[int, int] | None:
+    """``transitivity_witness`` folding the rows that each row points to
+    one set bit at a time, on every input."""
+    for x, row in enumerate(rel.rows):
+        union = 0
+        for y in bits(row):
+            union |= rel.rows[y]
+        missing = union & ~row
+        if missing:
+            return (x, (missing & -missing).bit_length() - 1)
+    return None
+
+
 def reference_check_axioms(S: Relation, R: Relation) -> AxiomReport:
     """``check_axioms`` scanning every pair (i, j) for axioms (ii) and
     (iii) on every input."""
@@ -512,10 +525,10 @@ def reference_check_axioms(S: Relation, R: Relation) -> AxiomReport:
     n = S.n
     violations: list[tuple[str, tuple[int, ...]]] = []
 
-    witness = transitivity_witness(S)
+    witness = reference_transitivity_witness(S)
     if witness is not None:
         violations.append(("i:S", witness))
-    witness = transitivity_witness(R)
+    witness = reference_transitivity_witness(R)
     if witness is not None:
         violations.append(("i:R", witness))
 

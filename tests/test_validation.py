@@ -43,6 +43,7 @@ from oracles import (
     reference_pair_to_tree,
     reference_restrict,
     reference_tree_rows,
+    reference_transitivity_witness,
 )
 
 
@@ -490,9 +491,9 @@ DENSITIES = (0, 1 / 64, 1 / 8, 1 / 2, 1)
 
 
 def test_transpose_agrees_with_plain_transpose_on_small_matrices():
-    # the chosen path of the transpose and of the in-degree count, and the
-    # square kernel on the smallest square that holds the matrix and on
-    # one twice as wide, chosen or not
+    # the chosen path of the transpose, and the square kernel on the
+    # smallest square that holds the matrix and on one twice as wide,
+    # chosen or not
     rng = random.Random("transpose:small")
     for n in range(41):
         size = max(8, 1 << (n - 1).bit_length())
@@ -500,7 +501,6 @@ def test_transpose_agrees_with_plain_transpose_on_small_matrices():
             rows = random_rows(rng, n, density)
             expected = plain_transpose(rows)
             assert relations._transpose(rows) == expected, (n, density)
-            assert relations._in_degrees(rows) == [c.bit_count() for c in expected]
             for width in (size, 2 * size):
                 assert relations._transpose_square(rows, width) == expected
 
@@ -513,14 +513,12 @@ SQUARE_EDGES = [
 @pytest.mark.parametrize("n", SQUARE_EDGES)
 def test_transpose_agrees_with_plain_transpose_at_square_edges(n, monkeypatch):
     # dense matrices on both sides of each power of two: from 24 rows up
-    # the transpose and the in-degree count take the square kernel and
-    # walk no bit
+    # the transpose takes the square kernel and walks no bit
     rng = random.Random(f"transpose:edge:{n}")
     rows = [rng.getrandbits(n) for _ in range(n)]
     expected = plain_transpose(rows)
     walked = walked_bits(monkeypatch)
     assert relations._transpose(rows) == expected
-    assert relations._in_degrees(rows) == [c.bit_count() for c in expected]
     assert (walked == []) == (n >= relations._KERNEL_MIN_N)
     size = max(8, 1 << (n - 1).bit_length())
     assert relations._transpose_square(rows, size) == expected
@@ -562,3 +560,52 @@ def test_relabelled_left_chain_is_checked_without_walking_bits(monkeypatch):
     assert check_axioms(pair.S, pair.R).valid
     assert total_order(pair) == expected
     assert walked == []
+
+
+def witness_cases(rng: random.Random, n: int) -> list[Relation]:
+    """Random relations at densities 1/8, 1/4, 1/2 and 1, the R of a
+    relabelled random tree and of a relabelled right chain (transitive),
+    and each of those with one bit flipped."""
+    cases = []
+    for density in (1 / 8, 1 / 4, 1 / 2, 1):
+        rows = random_rows(rng, n, density)
+        cases.append(Relation(n, [row & ~(1 << i) for i, row in enumerate(rows)]))
+    for t in (random_tree(rng, n), trees.from_left_sizes([0] * n)):
+        cases.append(shuffled(rng, tree_to_pair(t)).R)
+    for rel in list(cases):
+        i, j = rng.sample(range(n), 2)
+        rows = list(rel.rows)
+        rows[i] ^= 1 << j
+        cases.append(Relation(n, rows))
+    return cases
+
+
+@pytest.mark.parametrize("n", [8, 39, 40, 41, 44, 45, 47, 48, 64, 65, 100, 257])
+def test_transitivity_witness_agrees_with_per_bit_fold(n, monkeypatch):
+    # on both sides of the size cutoff and with every n % 8 near it: from
+    # 40 labels up a relation with a bit in four set is tested through
+    # the union tables, which walk no bit
+    rng = random.Random(f"transitivity:{n}")
+    walked = walked_bits(monkeypatch)
+    for rel in witness_cases(rng, n):
+        expected = reference_transitivity_witness(rel)
+        dense = sum(map(int.bit_count, rel.rows)) * 4 >= n * n
+        walked.clear()
+        assert relations.transitivity_witness(rel) == expected, rel
+        assert (walked == []) == (n >= relations._TABLE_MIN_N and dense), rel
+
+
+def test_invalid_pair_walks_no_bit_of_a_transitive_dense_r(monkeypatch):
+    # an S flip leaves R transitive: its witness scan runs to the end
+    # through the union tables, so only S's bits are walked (for the S
+    # witness and axiom (iv)), about a tenth of R's at n = 500
+    rng = random.Random("one flip:cost")
+    n = 500
+    pair = shuffled(rng, tree_to_pair(random_tree(rng, n)))
+    i, j = rng.sample(range(n), 2)
+    flipped = flip(pair, "S", i, j)
+    expected = reference_check_axioms(flipped.S, flipped.R)
+    s_bits = sum(map(int.bit_count, flipped.S.rows))
+    walked = walked_bits(monkeypatch)
+    assert check_axioms(flipped.S, flipped.R) == expected
+    assert len(walked) <= 2 * s_bits
