@@ -24,6 +24,7 @@ from .relations import (
     CatalanPair,
     Relation,
     _canonical_left_sizes,
+    _preorder,
     _tree_rows,
     decompose_pair,
 )
@@ -75,25 +76,15 @@ def pair_to_tree(pair: CatalanPair) -> trees.Tree:
 
 
 def _valid_pair_tree(pair: CatalanPair) -> trees.Tree:
-    """Iterative tree reading of a pair that must already be valid.
-
-    The derived order (i L j iff i R j or j S i) lists the labels in
-    preorder of the tree, so a label with d L-successors sits at preorder
-    position n - 1 - d.  A label's left subtree holds exactly the labels
-    that S-precede it, so its size is the popcount of the label's
-    S-column.  A factor of a canonical pair is canonical, and its left
-    sizes come from its R popcounts alone
-    (``relations._canonical_left_sizes``) in O(n) row operations; any
-    other labelling counts S's in-degrees, the popcounts of ``S.cols()``.
+    """Iterative tree reading of a pair that must already be valid: the
+    preorder left sizes of a factor of a canonical pair come from its R
+    popcounts alone (``relations._canonical_left_sizes``) in O(n) row
+    operations, those of any other labelling from ``relations._preorder``.
     No recursion; an invalid pair gives a meaningless tree or an error.
     """
     left_sizes = _canonical_left_sizes(pair.S, pair.R)
     if left_sizes is None:
-        n = pair.n
-        s_in = [col.bit_count() for col in pair.S.cols()]
-        left_sizes = [0] * n
-        for i, row in enumerate(pair.R.rows):
-            left_sizes[n - 1 - row.bit_count() - s_in[i]] = s_in[i]
+        _, left_sizes = _preorder(pair.R.rows, pair.S.cols())
     return trees.from_left_sizes(left_sizes)
 
 

@@ -24,8 +24,9 @@ Cost model: deciding whether a pair is valid (``check_axioms``,
 already canonical (every S row points only to smaller labels and every R
 row only to larger ones), as on every preorder-encoded value and every
 factor of a canonical pair; ``canonicalize`` returns such a pair as it
-is.  Any other labelling adds a read of S's columns (:func:`_transpose`):
-from 24 labels up, unless S is sparse, S is packed into one N x N bit
+is.  Any other labelling adds a read of S's columns (:func:`_transpose`)
+and one pass that places each label in preorder (:func:`_preorder`).
+From 24 labels up, unless S is sparse, S is packed into one N x N bit
 square (N the next power of two >= n) and transposed by O(log n)
 operations in C over all of its bits; otherwise the read is one pass
 over S's set bits.  ``canonicalize`` relabels such a pair with one pass
@@ -50,8 +51,9 @@ Every pass over set bits goes through :func:`bits`.  It walks a dense
 row in C, at a cost per binary digit, and a sparse row in Python, at a
 cost per set bit.  On a valid pair R holds n(n-1)/2 - |S| of the n(n-1)
 possible bits, so R's rows are dense.  The loop body of a pass still
-runs in Python for each bit, except in the transitivity witness and a
-scattered ``restrict``, which fold what they walk with ``map`` in C.
+runs in Python for each bit, except in the transitivity witness,
+``relabel`` and a scattered ``restrict``, which fold what they walk with
+``map`` in C.
 A column read through the bit square and a transitivity test through
 the union tables walk no bits at all.
 """
@@ -61,6 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 from itertools import compress, count
+from math import comb
 from operator import or_
 from typing import Iterable, Iterator
 
@@ -102,6 +105,8 @@ class Relation:
     rows: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        # any row container is kept as the tuple that builders store
+        object.__setattr__(self, "rows", tuple(self.rows))
         if self.n < 0:
             raise ValueError("size must be nonnegative")
         if len(self.rows) != self.n:
@@ -183,15 +188,15 @@ class Relation:
 
     def relabel(self, image: Iterable[int]) -> "Relation":
         """Rename label i to image[i]; *image* must be a permutation of
-        0..n-1, given as ints."""
+        0..n-1, given as ints.  Each row's renamed bits are summed in C."""
         image = tuple(image)
         # a label that only equals an int, like 2.0, makes the sum a non-int
         if sorted(image) != list(range(self.n)) or type(sum(image)) is not int:
             raise ValueError("relabelling must be a permutation of the labels")
+        new_bit = [1 << new for new in image].__getitem__
         rows = [0] * self.n
-        for i, row in enumerate(self.rows):
-            for j in bits(row):
-                rows[image[i]] |= 1 << image[j]
+        for new, row in zip(image, self.rows):
+            rows[new] = sum(map(new_bit, bits(row)))
         return Relation._unchecked(self.n, rows)
 
 
@@ -576,12 +581,13 @@ def _derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
     and the pair is valid exactly when the builder (:func:`_tree_rows`)
     rebuilds it from them.  O(n) row operations.
 
-    Any other labelling reads S's columns (:func:`_transpose`), then
-    O(n) row operations: the pair is valid exactly when L is a
-    strict total order, every S-column is that block and the block sizes
-    fill a binary tree.  The L-row popcounts are compared with the
-    positions before any prefix mask is built, so the masks hold no more
-    bits than the input.
+    Any other labelling reads S's columns (:func:`_transpose`) and places
+    the labels (:func:`_preorder`), then O(n) row operations: the pair is
+    valid exactly when no two labels collide, each label's R row and
+    S-column are the labels after it, its S-column is the block right
+    after it (so the two are disjoint) and the block sizes fill a binary
+    tree.  Collisions are found before any mask of labels is built, so
+    the masks hold no more bits than the input.
     """
     n = S.n
     left_sizes = _canonical_left_sizes(S, R)
@@ -597,29 +603,42 @@ def _derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
                 return None
         return tuple(range(n))
     s_cols = S.cols()
-    l_rows = []
-    for r_row, s_col in zip(R.rows, s_cols):
-        if r_row & s_col:
-            return None
-        l_rows.append(r_row | s_col)
-    order = sorted(range(n), key=lambda i: -l_rows[i].bit_count())
-    if any(l_rows[i].bit_count() != n - 1 - p for p, i in enumerate(order)):
+    placed = _preorder(R.rows, s_cols)
+    if placed is None:
         return None
-    before = [0] * (n + 1)  # before[p]: labels at positions < p
-    for p, i in enumerate(order):
-        before[p + 1] = before[p] | 1 << i
-    left_sizes = []
-    for p, i in enumerate(order):
-        a = s_cols[i].bit_count()
-        if (
-            l_rows[i] != before[n] ^ before[p + 1]
-            or s_cols[i] != before[p + a + 1] ^ before[p + 1]
-        ):
+    order, left_sizes = placed
+    after = [0] * n  # after[p]: labels at positions > p
+    rest = 0
+    for p in reversed(range(n)):
+        i, a = order[p], left_sizes[p]
+        after[p] = rest
+        if R.rows[i] | s_cols[i] != rest or s_cols[i] != rest ^ after[p + a]:
             return None
-        left_sizes.append(a)
+        rest |= 1 << i
     if trees.subtree_sizes(left_sizes) is None:
         return None
     return tuple(order)
+
+
+def _preorder(
+    r_rows: tuple[int, ...], s_cols: tuple[int, ...]
+) -> tuple[list[int], list[int]] | None:
+    """The label and the left size at each preorder position, in one pass
+    over R's rows and S's columns; None if a position is negative or taken
+    twice.  On a valid pair label i's L-successors are its R row and its
+    left subtree, its S-column, so it sits at n - 1 - |R_i| - |S-col_i|.
+    """
+    n = len(r_rows)
+    order = [-1] * n
+    left_sizes = [0] * n
+    for i, (r_row, s_col) in enumerate(zip(r_rows, s_cols)):
+        a = s_col.bit_count()
+        p = n - 1 - r_row.bit_count() - a
+        if p < 0 or order[p] >= 0:
+            return None
+        order[p] = i
+        left_sizes[p] = a
+    return order, left_sizes
 
 
 def _canonical_left_sizes(S: Relation, R: Relation) -> list[int] | None:
@@ -734,18 +753,10 @@ def is_isomorphic(first: CatalanPair, second: CatalanPair) -> bool:
     return canonicalize(first) == canonicalize(second)
 
 
-_CATALAN = [1]
-
-
 def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("size must be nonnegative")
-    while len(_CATALAN) <= n:
-        m = len(_CATALAN)
-        _CATALAN.append(
-            sum(_CATALAN[k] * _CATALAN[m - 1 - k] for k in range(m))
-        )
-    return _CATALAN[n]
+    return comb(2 * n, n) // (n + 1)
 
 
 def enumerate_pairs(n: int) -> tuple[CanonicalPair, ...]:

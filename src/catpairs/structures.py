@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import inf
-from typing import Iterable
+from typing import Callable, Iterable
 
 from . import trees
 from .errors import ParseError, _read_ints, require
@@ -211,13 +211,20 @@ def validate_perm(p: Permutation) -> str | None:
     return None
 
 
-def parse_perm(text: str) -> Permutation:
+def _parse_decimals(text: str, noun: str, validate: Callable) -> tuple[int, ...]:
+    """The whitespace-separated decimal entries of *text*, checked by
+    *validate*; ParseError naming *noun* (a permutation, a sequence) for
+    any other token."""
     tokens = text.split()
     if not all(token.isdecimal() for token in tokens):
-        raise ParseError("a permutation is a list of positive integers")
-    value = _read_ints(tokens, "a permutation entry")
-    require(validate_perm(value))
+        raise ParseError(f"{noun} is a list of positive integers")
+    value = _read_ints(tokens, f"{noun} entry")
+    require(validate(value))
     return value
+
+
+def parse_perm(text: str) -> Permutation:
+    return _parse_decimals(text, "a permutation", validate_perm)
 
 
 def serialize_perm(p: Permutation) -> str:
@@ -413,17 +420,8 @@ def validate_seq1(s: Sequence) -> str | None:
     return None
 
 
-def _parse_sequence(text: str) -> Sequence:
-    tokens = text.split()
-    if not all(token.isdecimal() for token in tokens):
-        raise ParseError("a sequence is a list of positive integers")
-    return _read_ints(tokens, "a sequence entry")
-
-
 def parse_seq1(text: str) -> Sequence:
-    value = _parse_sequence(text)
-    require(validate_seq1(value))
-    return value
+    return _parse_decimals(text, "a sequence", validate_seq1)
 
 
 def serialize_seq(s: Sequence) -> str:
@@ -458,9 +456,7 @@ def validate_seq2(s: Sequence) -> str | None:
 
 
 def parse_seq2(text: str) -> Sequence:
-    value = _parse_sequence(text)
-    require(validate_seq2(value))
-    return value
+    return _parse_decimals(text, "a sequence", validate_seq2)
 
 
 def seq2_fixed_point(s: Sequence) -> int:

@@ -10,16 +10,19 @@ The ``brute_validate_*`` scans, the pairwise axiom check
 (``reference_check_axioms``) and its per-bit transitivity fold
 (``reference_transitivity_witness``), the bit-by-bit column read
 (``plain_transpose``, which every reference below reads columns
-through, never ``Relation.cols``), the per-bit pair split
+through, never ``Relation.cols``), the bit-by-bit renaming
+(``plain_relabel``, which ``reference_canonicalize`` relabels through,
+never ``Relation.relabel``), the per-bit pair split
 (``reference_restrict``, ``reference_decompose_pair``), the per-bit
 pair reading (``reference_derived_order``, ``reference_canonicalize``,
 ``reference_pair_to_tree``) and the inherited-row pair builder
 (``reference_tree_rows``) are the quadratic, bit-by-bit or row-carrying
 versions that the package's linear ones replaced, with the same
 messages.  ``reference_serialize_pair`` writes the pair file by sorting
-every line as text, and the size helpers at the end have no use in the
-package.  ``reference_from_dyck_word`` (a todo-stack parser),
-``reference_enumerate_seq2`` (a backtracking search),
+every line as text, ``catalan_recurrence`` is the quadratic recurrence
+that ``catalan``'s binomial replaced, and the size helpers at the end
+have no use in the package.  ``reference_from_dyck_word`` (a todo-stack
+parser), ``reference_enumerate_seq2`` (a backtracking search),
 ``seq2_from_tree`` (seq2's rule as two folds) and the polyomino column
 codec (``reference_polyomino_to_tree``, ``reference_tree_to_polyomino``:
 column heights, overlaps, tops and bottoms) are the independent routes
@@ -504,6 +507,17 @@ def plain_transpose(rows) -> list[int]:
     return cols
 
 
+def plain_relabel(rel: Relation, image) -> Relation:
+    """``Relation.relabel`` ORing in each renamed bit one at a time, read
+    bit by bit."""
+    rows = [0] * rel.n
+    for i, row in enumerate(rel.rows):
+        for j in range(rel.n):
+            if row >> j & 1:
+                rows[image[i]] |= 1 << image[j]
+    return Relation(rel.n, tuple(rows))
+
+
 def reference_transitivity_witness(rel: Relation) -> tuple[int, int] | None:
     """``transitivity_witness`` folding the rows that each row points to
     one set bit at a time, on every input."""
@@ -605,7 +619,9 @@ def reference_canonicalize(pair: CatalanPair) -> CanonicalPair:
     image = [0] * pair.n
     for new, old in enumerate(order):
         image[old] = new
-    return CanonicalPair._unchecked(pair.relabel(image))
+    return CanonicalPair._unchecked(
+        CatalanPair(plain_relabel(pair.S, image), plain_relabel(pair.R, image))
+    )
 
 
 def reference_tree_rows(
@@ -725,6 +741,14 @@ def reference_serialize_pair(pair: CatalanPair) -> str:
 
 
 # ----------------------------------------------------------------- sizes
+
+def catalan_recurrence(limit: int) -> list[int]:
+    """C_0..C_limit by C_m = sum of C_k * C_(m-1-k) over k < m."""
+    values = [1]
+    for m in range(1, limit + 1):
+        values.append(sum(values[k] * values[m - 1 - k] for k in range(m)))
+    return values
+
 
 def plane_tree_size(t: PlaneTree) -> int:
     """Number of edges."""

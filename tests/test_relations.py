@@ -16,8 +16,10 @@ from catpairs import (
     catalan,
     check_axioms,
     compose_pair,
+    decode_pair,
     decompose_pair,
     enumerate_pairs,
+    family,
     is_isomorphic,
     is_strict_order,
     serialize_pair,
@@ -26,6 +28,7 @@ from catpairs import (
 from catpairs import relations
 from catpairs.relations import bits
 from conftest import SEVEN_R, SEVEN_S
+from oracles import catalan_recurrence, plain_relabel
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
 
@@ -82,6 +85,52 @@ def test_relation_restrict_and_relabel():
     assert set(sub.pairs) == {(0, 1), (1, 2), (0, 2)}
     swapped = rel.relabel((1, 0, 2, 3))
     assert set(swapped.pairs) == {(1, 0), (0, 3), (1, 3)}
+
+
+def test_relation_rows_given_as_a_list_equal_the_tuple():
+    assert Relation(2, [0, 0]) == Relation(2, (0, 0))
+    assert Relation(3, [6, 0, 0]).rows == (6, 0, 0)
+
+
+def test_relation_rows_given_as_a_list_hash_like_the_tuple():
+    assert hash(Relation(2, [2, 0])) == hash(Relation(2, (2, 0)))
+
+
+def test_is_isomorphic_with_rows_given_as_lists(seven_pair):
+    S, R = seven_pair.S, seven_pair.R
+    listed = CatalanPair(Relation(7, list(S.rows)), Relation(7, list(R.rows)))
+    assert is_isomorphic(seven_pair, listed)
+    assert is_isomorphic(listed, seven_pair)
+
+
+def test_decode_through_the_table_with_rows_given_as_lists():
+    pair = canonicalize(family("seq2").encode((2, 3, 3))).pair
+    listed = CatalanPair(
+        Relation(3, list(pair.S.rows)), Relation(3, list(pair.R.rows))
+    )
+    assert decode_pair(listed, "seq2") == (2, 3, 3)
+
+
+@pytest.mark.parametrize("n", [0, 1, 5, 16, 17, 40, 129])
+def test_relabel_agrees_with_plain_relabel(n):
+    # the densities run from empty to complete rows; from 17 labels up,
+    # rows past 2^16 with more than one bit in eight set are walked in C
+    rng = random.Random(f"relabel {n}")
+    walked_in_c = 0
+    for density in (0, 0.05, 0.2, 0.5, 0.9, 1):
+        rows = tuple(
+            sum(1 << j for j in range(n) if j != i and rng.random() < density)
+            for i in range(n)
+        )
+        walked_in_c += sum(
+            bool(row >> 16) and row.bit_count() * 8 > row.bit_length() + 40
+            for row in rows
+        )
+        rel = Relation(n, rows)
+        image = list(range(n))
+        rng.shuffle(image)
+        assert rel.relabel(image) == plain_relabel(rel, image)
+    assert (walked_in_c > 0) == (n > 16)
 
 
 @pytest.mark.parametrize("labels, bad", [
@@ -288,6 +337,12 @@ def test_is_isomorphic_distinguishes_sizes():
 
 def test_catalan_values():
     assert tuple(catalan(n) for n in range(11)) == CATALAN
+
+
+def test_catalan_agrees_with_the_recurrence():
+    assert [catalan(n) for n in range(301)] == catalan_recurrence(300)
+    with pytest.raises(ValueError, match="^size must be nonnegative$"):
+        catalan(-1)
 
 
 def test_enumerate_pairs_counts():
