@@ -114,8 +114,8 @@ def assemble_seq1(t: trees.Tree) -> structures.Sequence:
 
 
 def assemble_staircase(t: trees.Tree) -> structures.Staircase:
-    """The upper part is the S-side, so the tiling swaps the subtrees."""
-    return trees.fold(t, lambda left, right: (right, left), trees.EMPTY)
+    """The tree's subtrees, swapped back into (lower, upper) parts."""
+    return trees.fold(t, structures.swap_parts, trees.EMPTY)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Command-line front end: verify, encode, convert, enumerate, count, decompose.
 
-Exit codes: 0 success; 1 for unusable input (bad flags, unparsable text,
-pair files above the size limit, numbers with more digits than int()
-reads, sizes beyond the decode-table cap); 2 for well-formed input that
-fails validation (broken axioms, invalid structure values).  All output
-is deterministic, newline-terminated text.
+Exit codes: 0 success; 1 for unusable input (bad flags, unparsable or
+non-UTF-8 text, pair files above the size limit, numbers with more digits
+than int() reads, sizes beyond the decode-table cap) or a failed memory
+allocation; 2 for well-formed input that fails validation (broken axioms,
+invalid structure values).  All output is deterministic, newline-terminated
+text.
 """
 
 from __future__ import annotations
@@ -189,8 +190,12 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ParseError, SizeLimitError, OSError) as exc:  # before ValueError
+    except (ParseError, SizeLimitError, OSError, UnicodeDecodeError) as exc:
+        # before ValueError, which ParseError and UnicodeDecodeError subclass
         sys.stderr.write(f"error: {exc}\n")
+        return 1
+    except MemoryError:  # its own text is empty
+        sys.stderr.write("error: out of memory\n")
         return 1
     except (InvariantViolation, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -37,6 +37,7 @@ from .structures import (
     pattern_transform,
     profile_matching,
     serialize_plane_tree,
+    swap_parts,
     validate_avoidance,
     validate_dyck,
     validate_matching,
@@ -161,15 +162,11 @@ def encode_seq2(s: Sequence) -> CatalanPair:
 
 
 def encode_staircase(t: Staircase) -> CatalanPair:
-    """Composition of the junction-rectangle decomposition.
-
-    The junction rectangle is S-dominated by the upper part and
-    R-precedes the lower part, so the upper subtree takes the left slot
-    of the composition and the lower subtree the right slot: the pair of
-    the mirrored tree, labels in inorder.
-    """
+    """Composition of the junction-rectangle decomposition: the rectangle
+    is S-dominated by the upper part and R-precedes the lower part, so
+    :func:`swap_parts` puts the upper part in the left slot; inorder labels."""
     require(validate_staircase(t))
-    return tree_to_pair(trees.fold(t, lambda lower, upper: (upper, lower), trees.EMPTY))
+    return tree_to_pair(trees.fold(t, swap_parts, trees.EMPTY))
 
 
 def pair_for_avoidance_class(p: Permutation, pattern: str) -> CatalanPair:

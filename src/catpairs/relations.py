@@ -35,12 +35,8 @@ input: an invalid pair is rejected before any mask larger than its own
 rows is built, and the square is built only when it holds at most 64
 bits per set bit.  Only an invalid pair pays for naming its witnesses:
 O(n) row operations, a column read of the lower triangles of S | R and
-S & R each, a transitivity test of each relation and one pass over the
-set bits of S.  The transitivity test ORs, for each row, the rows it
-points to: one OR per set bit, or, on a relation of 40 labels or more
-with at least one bit in four set (R, on most pairs), n / 4 ORs of
-tabulated unions of four rows each, whose tables hold at most 11 bits
-per set bit.
+S & R each, a transitivity test of each relation (one OR per set bit)
+and one pass over the set bits of S.
 ``decompose_pair`` is one check plus O(n) row operations to find and
 cut its two blocks.  ``Relation.restrict`` takes O(k) row operations
 when its k labels form one contiguous run, as both blocks of a
@@ -53,9 +49,7 @@ cost per set bit.  On a valid pair R holds n(n-1)/2 - |S| of the n(n-1)
 possible bits, so R's rows are dense.  The loop body of a pass still
 runs in Python for each bit, except in the transitivity witness,
 ``relabel`` and a scattered ``restrict``, which fold what they walk with
-``map`` in C.
-A column read through the bit square and a transitivity test through
-the union tables walk no bits at all.
+``map`` in C; a column read through the bit square walks no bits.
 """
 
 from __future__ import annotations
@@ -271,57 +265,15 @@ def _swap_mask(size: int, s: int) -> int:
 def transitivity_witness(rel: Relation) -> tuple[int, int] | None:
     """The smallest (x, z) with x->y->z but no x->z for some y, else None.
 
-    Row x is tested against the union of the rows it points to.  That
-    union is a fold over the row's set bits, or, on a relation of at
-    least 40 labels with at least one bit in four set, one table entry
-    per group of four labels (:func:`_union_tables`): n / 4 ORs a row
-    instead of one per set bit.
+    Row x is tested against the union of the rows it points to, a fold
+    over the row's set bits.
     """
-    rows = rel.rows
-    n = len(rows)
-    if n >= _TABLE_MIN_N and sum(map(int.bit_count, rows)) * 4 >= n * n:
-        tables = _union_tables(rows)
-        width = (n + 7) // 8
-        for x, row in enumerate(rows):
-            digits = row.to_bytes(width, "little")
-            picks = digits.translate(_LOW_NIBBLE) + digits.translate(_HIGH_NIBBLE)
-            missing = reduce(or_, map(list.__getitem__, tables, picks)) & ~row
-            if missing:
-                return (x, (missing & -missing).bit_length() - 1)
-        return None
-    row_of = rows.__getitem__
-    for x, row in enumerate(rows):
+    row_of = rel.rows.__getitem__
+    for x, row in enumerate(rel.rows):
         missing = reduce(or_, map(row_of, bits(row)), 0) & ~row
         if missing:
             return (x, (missing & -missing).bit_length() - 1)
     return None
-
-
-_TABLE_MIN_N = 40  # see transitivity_witness
-# the low and the high four bits of each byte value
-_LOW_NIBBLE = bytes(b & 15 for b in range(256))
-_HIGH_NIBBLE = bytes(b >> 4 for b in range(256))
-
-
-def _union_tables(rows: tuple[int, ...]) -> list[list[int]]:
-    """For each group of four rows, the unions of its 16 subsets: entry
-    m of the group from row f ORs the rows f + k with bit k of m set.
-
-    The groups of rows 8b..8b+3 come first, in order of b, then those of
-    rows 8b+4..8b+7, so that a row's bytes, split into their low and then
-    their high four bits, pick one entry per group in table order (when
-    the last byte has no rows 8b+4.., its high bits, all 0, are left
-    over).  The tables hold 11 new unions per group, at most the bytes of
-    11 rows.
-    """
-    tables = []
-    for start in (0, 4):
-        for first in range(start, len(rows), 8):
-            table = [0]
-            for row in rows[first:first + 4]:
-                table += [union | row for union in table]
-            tables.append(table)
-    return tables
 
 
 def is_strict_order(rel: Relation) -> bool:

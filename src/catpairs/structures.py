@@ -523,6 +523,12 @@ def enumerate_seq2(n: int) -> tuple[Sequence, ...]:
 Staircase = trees.Tree
 
 
+def swap_parts(first: trees.Tree, second: trees.Tree) -> trees.Tree:
+    """Tiling node (lower, upper) <-> tree node (upper, lower): the junction
+    rectangle's upper part is the S-side block, in the left slot."""
+    return (second, first)
+
+
 def validate_staircase(t: object) -> str | None:
     if not trees.is_tree(t):
         return "expected nested (lower, upper) tuples with () for the empty tiling"

@@ -35,6 +35,8 @@ from catpairs.bijections import (
     assemble_plane_tree,
     assemble_seq1,
 )
+from catpairs.encoders import encode_perm_312
+from catpairs.grammar import tree_to_pair
 from catpairs.structures import enumerate_seq2, seq2_fixed_point
 from conftest import random_tree
 
@@ -165,6 +167,16 @@ def test_one_pass_assemblers_equal_the_join_fold(assemble, join, serialize):
     shapes += [chain(n, side) for n in (100, 4000) for side in (0, 1)]
     for t in shapes:
         assert serialize(assemble(t)) == serialize(trees.fold(t, join, ()))
+
+
+def test_a_trees_312_avoider_carries_the_trees_own_pair():
+    # label for label, not just up to relabelling: preorder node p is the
+    # position that holds the value p + 1
+    rng = random.Random("312 avoider:pair")
+    shapes = [t for n in range(10) for t in trees.all_trees(n)]
+    shapes += [random_tree(rng, n) for n in (16, 64, 256, 1024, 2000) for _ in range(3)]
+    for t in shapes:
+        assert encode_perm_312(assemble_perm_312(t)) == tree_to_pair(t), t
 
 
 def test_table_families_have_no_assembler():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import sys
 import tempfile
@@ -194,6 +195,18 @@ def test_count_table_header_lists_all_families(run_cli):
     )
 
 
+def test_failed_allocation_is_one_error_line(run_cli, monkeypatch):
+    # MemoryError carries no text of its own, so the message is fixed
+    def enumerate_(n):
+        raise MemoryError
+
+    dyck = dataclasses.replace(FAMILIES["dyck"], enumerate=enumerate_)
+    monkeypatch.setitem(FAMILIES, "dyck", dyck)
+    for argv in (["count", "--family", "dyck"], ["enumerate", "--family", "dyck"]):
+        code, _, err = run_cli(argv + ["-n", "4"])
+        assert (code, err) == (1, "error: out of memory\n"), argv
+
+
 # --------------------------------------------------------------- decompose
 
 def test_decompose_prints_the_recursion_tree(run_cli, golden):
@@ -230,6 +243,31 @@ def test_header_size_above_the_limit_is_unusable_input(run_cli, command):
     assert code == 1
     assert out == ""
     assert err == "error: line 1: size 1048577 exceeds the limit of 1048576\n"
+
+
+NOT_UTF8 = b"n 1\n\xff\n"
+UTF8_ERROR = (
+    "error: 'utf-8' codec can't decode byte 0xff in position 4: "
+    "invalid start byte\n"
+)
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_file_that_is_not_utf8_is_unusable_input(run_cli, tmp_path, command):
+    path = tmp_path / "bad.pair"
+    path.write_bytes(NOT_UTF8)
+    code, out, err = run_cli([command, str(path)])
+    assert (code, out, err) == (1, "", UTF8_ERROR)
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--stdin"], ["encode", "--family", "dyck", "--stdin"]]
+)
+def test_stdin_that_is_not_utf8_is_unusable_input(run_cli, monkeypatch, argv):
+    stdin = io.TextIOWrapper(io.BytesIO(NOT_UTF8), encoding="utf-8")
+    monkeypatch.setattr("sys.stdin", stdin)
+    code, out, err = run_cli(argv)
+    assert (code, out, err) == (1, "", UTF8_ERROR)
 
 
 LIMIT = sys.get_int_max_str_digits()
