@@ -3,7 +3,8 @@
 Exit codes: 0 success; 1 for unusable input (bad flags, unparsable or
 non-UTF-8 text, pair files above the size limit, numbers with more digits
 than int() reads, sizes beyond the decode-table cap) or a failed memory
-allocation; 2 for well-formed input that fails validation (broken axioms,
+allocation, or an output pipe closed by its reader (nothing is printed
+then); 2 for well-formed input that fails validation (broken axioms,
 invalid structure values).  All output is deterministic, newline-terminated
 text.
 """
@@ -11,6 +12,7 @@ text.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import cache
 from pathlib import Path
@@ -109,9 +111,16 @@ def _add_value_input(sub: argparse.ArgumentParser) -> None:
     )
 
 
+def _read_stdin() -> str:
+    """All of stdin, decoded as strictly as a file: under surrogateescape
+    ``sys.stdin`` lets bytes that are not UTF-8 through, so its text is
+    encoded back and decoded again, raising UnicodeDecodeError on them."""
+    return sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
+
+
 def _read_file(args: argparse.Namespace) -> str:
     if args.stdin:
-        return sys.stdin.read()
+        return _read_stdin()
     if args.path is None:
         raise ParseError("expected a file path or --stdin")
     return Path(args.path).read_text(encoding="utf-8")
@@ -119,7 +128,7 @@ def _read_file(args: argparse.Namespace) -> str:
 
 def _read_value(args: argparse.Namespace) -> str:
     if args.stdin:
-        return sys.stdin.read()
+        return _read_stdin()
     if args.value is None:
         raise ParseError("expected a value argument or --stdin")
     return args.value
@@ -189,7 +198,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe is met here at the latest
+        return code
+    except BrokenPipeError:
+        # the reader left: say nothing, and send what is still buffered,
+        # and the interpreter's last flush, to os.devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ParseError, SizeLimitError, OSError, UnicodeDecodeError) as exc:
         # before ValueError, which ParseError and UnicodeDecodeError subclass
         sys.stderr.write(f"error: {exc}\n")

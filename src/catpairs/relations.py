@@ -34,9 +34,9 @@ over the set bits of both relations.  A check's memory follows the
 input: an invalid pair is rejected before any mask larger than its own
 rows is built, and the square is built only when it holds at most 64
 bits per set bit.  Only an invalid pair pays for naming its witnesses:
-O(n) row operations, a column read of the lower triangles of S | R and
-S & R each, a transitivity test of each relation (one OR per set bit)
-and one pass over the set bits of S.
+O(n) row operations, a read of S's and of R's columns, a transitivity
+test of each relation (one OR per set bit) and one pass over the set
+bits of S.
 ``decompose_pair`` is one check plus O(n) row operations to find and
 cut its two blocks.  ``Relation.restrict`` takes O(k) row operations
 when its k labels form one contiguous run, as both blocks of a
@@ -301,7 +301,7 @@ def check_axioms(S: Relation, R: Relation) -> AxiomReport:
     A valid pair costs O(n) row operations, plus a read of S's columns
     unless its labels are canonical (see :func:`_derived_order`).  Only
     an invalid pair goes on to name its witnesses, in O(n) row operations,
-    two column reads of lower triangles, a transitivity test of each
+    a read of S's and of R's columns, a transitivity test of each
     relation (:func:`transitivity_witness`) and one pass over the set
     bits of S.
     """
@@ -325,31 +325,17 @@ def _witnesses(S: Relation, R: Relation) -> tuple[tuple[str, tuple[int, ...]], .
     if witness is not None:
         violations.append(("i:R", witness))
 
-    # (ii) and (iii) from row masks: U = S | R and D = S & R.  Labels
-    # i < j are unrelated when neither U_i nor U_j holds the other, and
-    # doubly related when D_i or D_j does, or both U_i and U_j do.  Row i
-    # reads its columns only at j > i, so only the bits below the
-    # diagonal are transposed; they are cut off by shifts, which cost
-    # what the row holds, not what its label is.  U_i and D_i themselves
-    # are formed again where the scan reads them, so that no list holds
-    # the bits above the diagonal.
-    union_low, both_low = [], []
-    for i, (s, r) in enumerate(zip(S.rows, R.rows)):
-        union, both = s | r, s & r
-        union_low.append(union ^ union >> i << i)
-        both_low.append(both ^ both >> i << i)
-    union_cols = _transpose(union_low)
-    both_cols = _transpose(both_low)
+    # (ii) and (iii): for i < j, bit j of S_i, R_i, S-col_i and R-col_i
+    # says whether i S j, i R j, j S i and j R i hold
     unrelated = doubled = None
-    for i, (s, r) in enumerate(zip(S.rows, R.rows)):
-        union = s | r
+    for i, (s, r, s_col, r_col) in enumerate(zip(S.rows, R.rows, S.cols(), R.cols())):
         if unrelated is None:
-            related = (union | union_cols[i]) >> (i + 1)
+            related = (s | r | s_col | r_col) >> (i + 1)
             j = i + (~related & (related + 1)).bit_length()
             if j < n:
                 unrelated = (i, j)
         if doubled is None:
-            twice = (s & r | both_cols[i] | union & union_cols[i]) >> (i + 1)
+            twice = (s & r | s_col & r_col | (s | r) & (s_col | r_col)) >> (i + 1)
             if twice:
                 doubled = (i, i + (twice & -twice).bit_length())
         if unrelated is not None and doubled is not None:

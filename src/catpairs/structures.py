@@ -29,6 +29,16 @@ from typing import Callable, Iterable
 from . import trees
 from .errors import ParseError, _read_ints, require
 
+
+def _non_int(entries: tuple | list, noun: str) -> str | None:
+    """A message naming the first of *entries* that is not an ``int``
+    (floats and bools included), else None; the types are read in C."""
+    if set(map(type, entries)) <= {int}:
+        return None
+    pos, bad = next((pos, v) for pos, v in enumerate(entries, 1) if type(v) is not int)
+    return f"{noun} {bad!r} at position {pos} is not an int"
+
+
 # ---------------------------------------------------------------------------
 # Dyck words
 
@@ -74,6 +84,8 @@ Matching = tuple[tuple[int, int], ...]
 def validate_matching(m: Matching) -> str | None:
     n = len(m)
     endpoints = [p for arch in m for p in arch]
+    if message := _non_int(endpoints, "endpoint"):
+        return message
     if sorted(endpoints) != list(range(1, 2 * n + 1)):
         return f"endpoints must cover 1..{2 * n} exactly once"
     for left, right in m:
@@ -206,6 +218,8 @@ PATTERNS = ("312", "321", "231", "213", "132", "123")
 
 
 def validate_perm(p: Permutation) -> str | None:
+    if message := _non_int(p, "entry"):
+        return message
     if sorted(p) != list(range(1, len(p) + 1)):
         return f"values must be a rearrangement of 1..{len(p)}"
     return None
@@ -400,6 +414,8 @@ Sequence = tuple[int, ...]
 
 
 def validate_seq1(s: Sequence) -> str | None:
+    if message := _non_int(s, "entry"):
+        return message
     n = len(s)
     for i in range(1, n + 1):
         if not i <= s[i - 1] <= n:
@@ -443,6 +459,8 @@ def enumerate_seq1(n: int) -> tuple[Sequence, ...]:
 
 
 def validate_seq2(s: Sequence) -> str | None:
+    if message := _non_int(s, "entry"):
+        return message
     n = len(s)
     for i in range(1, n + 1):
         if not 1 <= s[i - 1] <= n:

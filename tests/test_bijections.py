@@ -89,6 +89,17 @@ MORE_GARBAGE = {
     "polyomino": ("NE", "NE"),
 }
 
+# entries that only equal or look like ints, per family that holds ints
+NON_INT_GARBAGE = {
+    **{
+        tag: [(1.0, 2), (2.0, 1), (1, "2"), (True, 2)]
+        for tag in FAMILY_TAGS if tag.startswith("perm-")
+    },
+    "seq1": [(1.0,), ("1",), (2, 2.0)],
+    "seq2": [(1.0,), ("1",), (False,)],
+    "matching": [((1.0, 2),), ((1, "2"),), ((1, 4), (2, 3.0))],
+}
+
 
 # ---------------------------------------------------------------- registry
 
@@ -325,6 +336,16 @@ def test_convert_rejects_invalid_values_with_the_family_message(tag):
     for bad in (GARBAGE[tag], MORE_GARBAGE[tag]):
         message = family(tag).validate(bad)
         assert message is not None
+        with pytest.raises(ValueError) as caught:
+            convert(bad, tag, "dyck")
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("tag", sorted(NON_INT_GARBAGE))
+def test_non_int_entries_are_named_by_validate_and_convert(tag):
+    for bad in NON_INT_GARBAGE[tag]:
+        message = family(tag).validate(bad)
+        assert isinstance(message, str) and "is not an int" in message, bad
         with pytest.raises(ValueError) as caught:
             convert(bad, tag, "dyck")
         assert str(caught.value) == message

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import os
+import subprocess
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -268,6 +270,43 @@ def test_stdin_that_is_not_utf8_is_unusable_input(run_cli, monkeypatch, argv):
     monkeypatch.setattr("sys.stdin", stdin)
     code, out, err = run_cli(argv)
     assert (code, out, err) == (1, "", UTF8_ERROR)
+
+
+# the CLI as its own process, with real stdin and stdout pipes
+CLI_PROCESS = [sys.executable, "-m", "catpairs.cli"]
+PROCESS_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--stdin"],
+        ["decompose", "--stdin"],
+        ["encode", "--family", "dyck", "--stdin"],
+    ],
+)
+def test_piped_stdin_that_is_not_utf8_is_named_as_in_a_file(argv):
+    # a real stdin may pass bad bytes through as surrogates
+    done = subprocess.run(
+        CLI_PROCESS + argv, input=NOT_UTF8, capture_output=True, env=PROCESS_ENV,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr.decode()) == (1, b"", UTF8_ERROR)
+
+
+def test_a_closed_output_pipe_ends_quietly():
+    # 4862 lines, 92 KB: more than a pipe holds, so the writer is still
+    # writing when the reader leaves after the first line
+    argv = ["enumerate", "--family", "dyck", "-n", "9"]
+    with subprocess.Popen(
+        CLI_PROCESS + argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=PROCESS_ENV,
+    ) as proc:
+        assert proc.stdout.readline() == b"UDUDUDUDUDUDUDUDUD\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (1, b"")
 
 
 LIMIT = sys.get_int_max_str_digits()

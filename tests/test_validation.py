@@ -133,6 +133,28 @@ def test_agrees_with_reference_on_large_random_pairs(n):
     assert_agrees(flip(pair, rng.choice("SR"), i, j))
 
 
+@pytest.mark.parametrize("n", [16, 23, 24, 25, 32, 48])
+def test_witnesses_agree_with_reference_around_the_square_cutoff(n, monkeypatch):
+    # _witnesses reads S's and R's columns: below 24 labels one pass over
+    # their set bits, from 24 up through the bit square unless sparse
+    squares = []
+
+    def counting_square(rows, size):
+        squares.append(size)
+        return transpose_square(rows, size)
+
+    transpose_square = relations._transpose_square
+    monkeypatch.setattr(relations, "_transpose_square", counting_square)
+    rng = random.Random(f"witnesses:{n}")
+    for _ in range(8):
+        pair = shuffled(rng, tree_to_pair(random_tree(rng, n)))
+        once = flip(pair, rng.choice("SR"), *rng.sample(range(n), 2))
+        twice = flip(once, rng.choice("SR"), *rng.sample(range(n), 2))
+        for broken in (once, twice):
+            assert_agrees(broken)
+    assert bool(squares) == (n >= relations._KERNEL_MIN_N)
+
+
 def test_valid_pair_costs_one_pass_over_s(monkeypatch):
     # counts the set bits the checks walk: at n = 500 R has about ten
     # times as many as S, so any per-bit walk of R fails the bound
