@@ -1,13 +1,17 @@
 """Pair -> structure decoders and the any-to-any family converter.
 
-Conversion has one route: encode the source value, canonicalize the
-pair, decode into the target family.  Decoding assembles a value
+Conversion reaches the source value's canonical pair, then decodes it
+into the target family.  A family with a ``read`` (dyck, matching,
+plane-tree, seq1) checks the value and reads its preorder left sizes,
+and the pair built from them is canonical as it stands; every other
+source is encoded and canonicalized.  Decoding assembles a value
 analytically from the pair's decomposition tree, as the family's join
 rule folded over it would; matchings, permutations and seq1 are written
-in O(n) from the tree's preorder left sizes, and plane trees in one
-preorder walk.  The one family without a known inverse, the second
-sequence family, looks the canonical pair up instead, in a memoized
-table built from its own enumerator and capped at ``DEFAULT_TABLE_CAP``.
+in O(n) from the tree's preorder left sizes, and Dyck words and plane
+trees in one preorder walk.  The one family without a known inverse,
+the second sequence family, looks the canonical pair up instead, in a
+memoized table built from its own enumerator and capped at
+``DEFAULT_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -25,9 +29,13 @@ from .encoders import (
     encode_seq2,
     encode_staircase,
     pair_for_avoidance_class,
+    read_dyck,
+    read_matching,
+    read_plane_tree,
+    read_seq1,
 )
 from .errors import InvariantViolation, SizeLimitError, require
-from .grammar import pair_to_tree, tree_to_pair
+from .grammar import _left_sizes_pair, pair_to_tree, tree_to_pair
 from .relations import CatalanPair, canonicalize
 
 __all__ = [
@@ -59,12 +67,12 @@ DEFAULT_TABLE_CAP = 12
 # encode(assemble(t)) is isomorphic to tree_to_pair(t); the left subtree is
 # the S-side block, the right the R-side block.  Matchings, 312-avoiders
 # and seq1 write the value in one pass over the preorder left sizes a_p
-# instead, and plane trees in one preorder walk, since their joins copy a
-# block at every node.
+# instead, and Dyck words and plane trees in one preorder walk, since
+# their joins copy a block at every node.
 
 
 def assemble_dyck(t: trees.Tree) -> str:
-    return trees.fold(t, trees._dyck, "")
+    return trees.to_dyck_word(t)
 
 
 def assemble_matching(t: trees.Tree) -> structures.Matching:
@@ -127,7 +135,10 @@ class Family:
     """One Catalan structure family's full codec suite.
 
     ``assemble`` turns a decomposition tree into a value; families
-    without one decode through the reference table instead.
+    without one decode through the reference table instead.  ``read``,
+    where a family has one, runs the family's value check and returns the
+    preorder left sizes of the value's tree, so that ``encode`` is
+    ``grammar._left_sizes_pair(read(value), inorder=False)``.
     """
 
     tag: str
@@ -137,6 +148,7 @@ class Family:
     enumerate: Callable[[int], tuple]
     encode: Callable[[object], CatalanPair]
     assemble: Callable[[trees.Tree], object] | None
+    read: Callable[[object], list[int]] | None = None
 
 
 def _perm_family(pattern: str) -> Family:
@@ -172,6 +184,7 @@ def _families() -> dict[str, Family]:
             structures.enumerate_dyck,
             encode_dyck,
             assemble_dyck,
+            read_dyck,
         ),
         Family(
             "matching",
@@ -181,6 +194,7 @@ def _families() -> dict[str, Family]:
             structures.enumerate_matching,
             encode_matching,
             assemble_matching,
+            read_matching,
         ),
         Family(
             "plane-tree",
@@ -190,6 +204,7 @@ def _families() -> dict[str, Family]:
             structures.enumerate_plane_tree,
             encode_plane_tree,
             assemble_plane_tree,
+            read_plane_tree,
         ),
         _perm_family("312"),
         _perm_family("321"),
@@ -205,6 +220,7 @@ def _families() -> dict[str, Family]:
             structures.enumerate_seq1,
             encode_seq1,
             assemble_seq1,
+            read_seq1,
         ),
         Family(
             "seq2",
@@ -307,10 +323,16 @@ def decode_pair(pair: CatalanPair, tag: str) -> object:
 def convert(value: object, src: str, dst: str) -> object:
     """Carry a value from one family to another through its canonical pair.
 
-    The source family's encoder checks *value* and raises ValueError with
-    its ``validate`` message.
+    The source family's ``read``, or else its encoder, checks *value* and
+    raises ValueError with its ``validate`` message.  The pair built from
+    ``read``'s preorder left sizes is canonical by construction, so it
+    skips ``canonicalize`` and meets its one pair check in the decoder;
+    any other source's pair is checked by ``canonicalize`` as well.
     """
     fsrc = family(src)
     fdst = family(dst)
-    canon = canonicalize(fsrc.encode(value))
-    return decode_pair(canon.pair, fdst.tag)
+    if fsrc.read is None:
+        pair = canonicalize(fsrc.encode(value)).pair
+    else:
+        pair = _left_sizes_pair(fsrc.read(value), inorder=False)
+    return decode_pair(pair, fdst.tag)

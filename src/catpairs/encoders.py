@@ -7,7 +7,10 @@ encoder checks the value, reads each node's left-subtree size off it in
 one pass, and builds the pair from those sizes (``grammar._left_sizes_pair``)
 with preorder labels (arches by left endpoint, plane-tree nodes, sequence
 positions) or inorder labels (staircases; binary trees and polyominoes
-in ``grammar``).  Each docstring states what S and R mean for its family.
+in ``grammar``).  The four preorder families keep the check and the
+reading in one ``read_*`` function, which ``bijections.convert`` calls
+directly: the pair built from its sizes is already canonical.  Each
+docstring states what S and R mean for its family.
 
 The second sequence family splits at its fixed point, and each side
 spells a Dyck word through its offsets from the diagonal; the two-word
@@ -50,37 +53,52 @@ from .structures import (
 from .trees import _enclosed
 
 
-def encode_matching(m: Matching) -> CatalanPair:
-    """S = strict arch inclusion, R = completely-left-of.
-
-    Arches by left endpoint are the tree's preorder, and an arch's left
-    subtree is the (r - l - 1) / 2 arches inside it.
-    """
+def read_matching(m: Matching) -> list[int]:
+    """The preorder left sizes of a checked matching: arches by left
+    endpoint are the tree's preorder, and an arch's left subtree is the
+    (r - l - 1) / 2 arches inside it."""
     require(validate_matching(m))
-    return _left_sizes_pair([(r - l - 1) // 2 for l, r in m], inorder=False)
+    return [(r - l - 1) // 2 for l, r in m]
+
+
+def encode_matching(m: Matching) -> CatalanPair:
+    """S = strict arch inclusion, R = completely-left-of; labels in
+    preorder, as :func:`read_matching` reads them."""
+    return _left_sizes_pair(read_matching(m), inorder=False)
+
+
+def read_dyck(word: str) -> list[int]:
+    """The preorder left sizes of a checked Dyck word: up steps are the
+    tree's preorder, and a tunnel's left subtree is the tunnels inside it."""
+    require(validate_dyck(word))
+    return _enclosed(word, "U")
 
 
 def encode_dyck(word: str) -> CatalanPair:
     """Tunnels (matched U/D step pairs): S = strictly above, R = left of.
 
-    Up steps are the tree's preorder, and a tunnel's left subtree is the
-    tunnels inside it; labels follow up-step order, as the arches of
-    ``encode_matching`` do.
+    Labels follow up-step order, the preorder that :func:`read_dyck`
+    reads, as the arches of ``encode_matching`` do.
     """
-    require(validate_dyck(word))
-    return _left_sizes_pair(_enclosed(word, "U"), inorder=False)
+    return _left_sizes_pair(read_dyck(word), inorder=False)
+
+
+def read_plane_tree(t: PlaneTree) -> list[int]:
+    """The preorder left sizes of a checked plane tree: the text form opens
+    one "(" per non-root node in preorder, and a node's left subtree is
+    its descendants, the nodes opened inside it."""
+    require(validate_plane_tree(t))
+    return _enclosed(serialize_plane_tree(t), "(")
 
 
 def encode_plane_tree(t: PlaneTree) -> CatalanPair:
     """Non-root nodes in preorder; S = proper descendant, R = left of.
 
     One node is left of another when neither is an ancestor of the other
-    and its branch leaves their closest common ancestor earlier.  The text
-    form opens one "(" per non-root node in preorder, and a node's left
-    subtree is its descendants, the nodes opened inside it.
+    and its branch leaves their closest common ancestor earlier.  The
+    left sizes come from :func:`read_plane_tree`.
     """
-    require(validate_plane_tree(t))
-    return _left_sizes_pair(_enclosed(serialize_plane_tree(t), "("), inorder=False)
+    return _left_sizes_pair(read_plane_tree(t), inorder=False)
 
 
 def encode_perm_312(p: Permutation) -> CatalanPair:
@@ -127,14 +145,19 @@ def encode_perm_321(p: Permutation) -> CatalanPair:
     return pair_for_avoidance_class(p, "321")
 
 
+def read_seq1(s: Sequence) -> list[int]:
+    """The preorder left sizes of a checked seq1 value: positions are the
+    tree's preorder, and a_i - i is the size of position i's left subtree."""
+    require(validate_seq1(s))
+    return [a - i for i, a in enumerate(s, start=1)]
+
+
 def encode_seq1(s: Sequence) -> CatalanPair:
     """a_i R a_j when i < j and a_i < a_j; a_i S a_j when j < i and a_i <= a_j.
 
-    Positions are the tree's preorder, and a_i - i is the size of
-    position i's left subtree.
+    Labels are positions, the preorder that :func:`read_seq1` reads.
     """
-    require(validate_seq1(s))
-    return _left_sizes_pair([a - i for i, a in enumerate(s, start=1)], inorder=False)
+    return _left_sizes_pair(read_seq1(s), inorder=False)
 
 
 def encode_seq2(s: Sequence) -> CatalanPair:

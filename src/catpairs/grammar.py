@@ -8,7 +8,8 @@ intermediate.  Both directions go through the tree's preorder
 left-subtree sizes (``trees.left_sizes``): ``pair_to_tree`` reads them
 off a valid pair's bitsets, and :func:`_left_sizes_pair` builds a pair
 from them top down.  That builder is also every tree-shaped family's
-encoder (see ``encoders``).
+encoder (see ``encoders``), and ``bijections.convert`` builds the
+canonical pair of a preorder family's value with it.
 
 Parallelogram polyominoes (two non-touching lattice paths over N/E with
 shared endpoints) join the tree world through their Dyck word: the upper
@@ -45,15 +46,10 @@ def _left_sizes_pair(left_sizes: list[int], inorder: bool) -> CatalanPair:
 
     Labels are the nodes' preorder positions, or their inorder positions
     if *inorder* is set; the rows come from ``relations._tree_rows`` in
-    O(n) row operations.
+    one loop of O(n) row operations.  *left_sizes* must come from a tree.
     """
     n = len(left_sizes)
-    s_rows = [0] * n
-    r_rows = [0] * n
-    size = trees.subtree_sizes(left_sizes)
-    for x, s_row, r_row in _tree_rows(left_sizes, size, inorder):
-        s_rows[x] = s_row
-        r_rows[x] = r_row
+    s_rows, r_rows = _tree_rows(left_sizes, inorder)
     return CatalanPair(Relation._unchecked(n, s_rows), Relation._unchecked(n, r_rows))
 
 

@@ -19,13 +19,18 @@ diagonal.  The package's own builders make such rows by construction and
 skip the check: :func:`_tree_rows` behind every tree-shaped encoder, the
 inversion pairs, :func:`_join`, ``restrict`` and ``relabel``.
 
-Cost model: deciding whether a pair is valid (``check_axioms``,
-``total_order``) takes O(n) big-int row operations when the labels are
-already canonical (every S row points only to smaller labels and every R
-row only to larger ones), as on every preorder-encoded value and every
-factor of a canonical pair; ``canonicalize`` returns such a pair as it
-is.  Any other labelling adds a read of S's columns (:func:`_transpose`)
-and one pass that places each label in preorder (:func:`_preorder`).
+Cost model: the pair of a tree is built from its preorder left sizes
+in one loop of O(n) big-int row operations (:func:`_tree_rows`).
+Deciding whether a pair is valid (``check_axioms``, ``total_order``)
+takes O(n) row operations when the labels are already canonical (every
+S row points only to smaller labels and every R row only to larger
+ones), as on every preorder-encoded value and every factor of a
+canonical pair: the same loop rebuilds the pair from R's popcounts and
+stops at the first row that differs.  ``canonicalize`` returns such a
+pair as it is, and a caller that built the pair from left sizes with
+preorder labels needs no ``canonicalize`` at all.  Any other labelling
+adds a read of S's columns (:func:`_transpose`) and one pass that places
+each label in preorder (:func:`_preorder`).
 From 24 labels up, unless S is sparse, S is packed into one N x N bit
 square (N the next power of two >= n) and transposed by O(log n)
 operations in C over all of its bits; otherwise the read is one pass
@@ -59,7 +64,7 @@ from functools import reduce
 from itertools import compress, count
 from math import comb
 from operator import or_
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import trees
 from .errors import InvariantViolation
@@ -517,7 +522,8 @@ def _derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
     to larger ones, L can only be 0 < ... < n-1, so the labels are
     already preorder positions: the left sizes come from R's popcounts
     and the pair is valid exactly when the builder (:func:`_tree_rows`)
-    rebuilds it from them.  O(n) row operations.
+    rebuilds it from them.  The builder compares each row as it makes
+    it and stops at the first that differs.  O(n) row operations.
 
     Any other labelling reads S's columns (:func:`_transpose`) and places
     the labels (:func:`_preorder`), then O(n) row operations: the pair is
@@ -530,15 +536,12 @@ def _derived_order(S: Relation, R: Relation) -> tuple[int, ...] | None:
     n = S.n
     left_sizes = _canonical_left_sizes(S, R)
     if left_sizes is not None:
-        # stop at the first row that differs, so that an invalid pair
-        # builds no more than the rows it shares with a valid one: the
-        # empty pair's sizes spell a left chain, whose dense S is never built
-        size = trees.subtree_sizes(left_sizes)
-        if size is None:
+        # the builder stops at the first row that differs, so that an
+        # invalid pair builds no more than the rows it shares with a valid
+        # one: the empty pair's sizes spell a left chain, whose dense S is
+        # never built
+        if _tree_rows(left_sizes, False, (S.rows, R.rows)) is None:
             return None
-        for x, s_row, r_row in _tree_rows(left_sizes, size, inorder=False):
-            if s_row != S.rows[x] or r_row != R.rows[x]:
-                return None
         return tuple(range(n))
     s_cols = S.cols()
     placed = _preorder(R.rows, s_cols)
@@ -597,35 +600,56 @@ def _canonical_left_sizes(S: Relation, R: Relation) -> list[int] | None:
 
 
 def _tree_rows(
-    left_sizes: list[int], size: list[int], inorder: bool
-) -> Iterator[tuple[int, int, int]]:
-    """(label, S row, R row) of each node of the tree with preorder
-    *left_sizes* and subtree sizes *size*, top down in preorder.
+    left_sizes: list[int],
+    inorder: bool,
+    match: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> tuple[list[int], list[int]] | None:
+    """The S rows and R rows, by label, of the tree with preorder
+    *left_sizes*, built top down in one loop; None if no tree has those
+    sizes, or at the first row that differs from *match*'s (S rows,
+    R rows) when it is given.
 
     Labels are the nodes' preorder positions, or their inorder positions
-    if *inorder* is set.  A node's S row is its parent's S row, plus the
-    parent when the node is a left child.  A node and its left subtree
-    R-precede its right subtree, so the rest follows from the preorder
-    position p, the left size a and the S row.  Preorder: x = p, and R_x
-    is every label above x + a.  Inorder: the labels below p's subtree
-    are the nodes before p in preorder less the S row, so
-    x = p - |S_x| + a and R_x is every label above x except the S row.
-    Each row costs O(1) row operations.
+    if *inorder* is set.  The loop carries each node's subtree size and
+    S row down to its children: a left child of size a, the node's left
+    size, inherits the S row plus the node; a right child, of the size
+    the node has left, the S row alone.  A right size below 0 means the
+    sizes fill no tree.  A node and its left subtree R-precede its right
+    subtree, so the rest follows from the preorder position p, the left
+    size a and the S row.  Preorder: x = p, and R_x is every label above
+    x + a.  Inorder: the labels below p's subtree are the nodes before p
+    in preorder less the S row, so x = p - |S_x| + a and R_x is every
+    label above x except the S row.  Each row costs O(1) row operations.
     """
-    full = (1 << len(left_sizes)) - 1
-    s_down = [0] * len(left_sizes)  # by preorder position: the S row
+    n = len(left_sizes)
+    full = (1 << n) - 1
+    s_rows = [0] * n
+    r_rows = [0] * n
+    s_down = [0] * n  # by preorder position: the S row
+    size = [0] * (n + 1)  # by preorder position: the subtree size
+    size[0] = n
+    s_match, r_match = match or (None, None)
     for p, a in enumerate(left_sizes):
+        b = size[p] - 1 - a
+        if b < 0:
+            return None
         s_row = s_down[p]
         if inorder:
             x = p - s_row.bit_count() + a
             r_row = full >> (x + 1) << (x + 1) ^ s_row
         else:
             x, r_row = p, full >> (p + a + 1) << (p + a + 1)
-        yield x, s_row, r_row
+        if match and (s_row != s_match[x] or r_row != r_match[x]):
+            return None
+        s_rows[x] = s_row
+        r_rows[x] = r_row
         if a:
             s_down[p + 1] = s_row | 1 << x
-        if size[p] - 1 - a:
+            size[p + 1] = a
+        if b:
             s_down[p + a + 1] = s_row
+            size[p + a + 1] = b
+    return s_rows, r_rows
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ Representations:
 
 from __future__ import annotations
 
+from collections.abc import Sequence as _Sequence
 from functools import lru_cache
 from math import inf
 from typing import Callable, Iterable
@@ -30,9 +31,13 @@ from . import trees
 from .errors import ParseError, _read_ints, require
 
 
-def _non_int(entries: tuple | list, noun: str) -> str | None:
-    """A message naming the first of *entries* that is not an ``int``
-    (floats and bools included), else None; the types are read in C."""
+def _non_int(entries: object, noun: str) -> str | None:
+    """A message naming the type of *entries* if it is not a sequence
+    (such as a tuple, list, str or range), or the first of them that is
+    not an ``int`` (floats and bools included), else None; the types are
+    read in C."""
+    if not isinstance(entries, _Sequence):
+        return f"expected a sequence of ints, got {type(entries).__name__}"
     if set(map(type, entries)) <= {int}:
         return None
     pos, bad = next((pos, v) for pos, v in enumerate(entries, 1) if type(v) is not int)
@@ -44,6 +49,8 @@ def _non_int(entries: tuple | list, noun: str) -> str | None:
 
 
 def validate_dyck(word: str) -> str | None:
+    if not isinstance(word, str):
+        return f"expected a str of U and D letters, got {type(word).__name__}"
     depth = 0
     for pos, letter in enumerate(word, start=1):
         if letter == "U":
@@ -82,6 +89,8 @@ Matching = tuple[tuple[int, int], ...]
 
 
 def validate_matching(m: Matching) -> str | None:
+    if message := _malformed_arch(m):
+        return message
     n = len(m)
     endpoints = [p for arch in m for p in arch]
     if message := _non_int(endpoints, "endpoint"):
@@ -105,6 +114,22 @@ def validate_matching(m: Matching) -> str | None:
         elif open_ends.pop() != p:
             return _first_crossing(m)
     return None
+
+
+def _malformed_arch(arches: object) -> str | None:
+    """A message naming the type of *arches* if it is not a sequence, or
+    the first of them that is not a tuple or list of two endpoints, else
+    None; the types and lengths are read in C."""
+    if not isinstance(arches, _Sequence):
+        return f"expected a sequence of arches, got {type(arches).__name__}"
+    if set(map(type, arches)) <= {tuple, list} and set(map(len, arches)) <= {2}:
+        return None
+    pos, bad = next(
+        (pos, arch)
+        for pos, arch in enumerate(arches, 1)
+        if type(arch) not in (tuple, list) or len(arch) != 2
+    )
+    return f"arch {bad!r} at position {pos} is not a pair of endpoints"
 
 
 def _first_crossing(m: Matching) -> str:

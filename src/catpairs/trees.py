@@ -163,7 +163,24 @@ def size(tree: Tree) -> int:
 
 
 def serialize(tree: Tree) -> str:
-    return fold(tree, lambda left, right: "(" + left + "," + right + ")", "e")
+    """The ``e`` / ``(left,right)`` text, in one preorder walk that lists
+    the pieces and joins them once."""
+    if not tree:
+        return "e"
+    pieces: list[str] = []
+    stack: list = [tree]  # subtrees still to write, and the text between them
+    while stack:
+        item = stack.pop()
+        if item.__class__ is str:
+            pieces.append(item)
+            continue
+        left, right = item
+        pieces.append("(")
+        stack.append(")")
+        stack.append(right or "e")
+        stack.append(",")
+        stack.append(left or "e")
+    return "".join(pieces)
 
 
 def parse(text: str) -> Tree:
@@ -209,8 +226,24 @@ def all_trees(n: int) -> tuple[Tree, ...]:
 
 
 def to_dyck_word(tree: Tree) -> str:
-    """Balanced word over U/D: a node maps to U <left> D <right>."""
-    return fold(tree, _dyck, "")
+    """Balanced word over U/D: a node maps to U <left> D <right>, as the
+    Dyck rule :func:`_dyck` folded over the tree gives.  One preorder
+    walk that lists the letters and joins them once."""
+    letters: list[str] = []
+    stack: list = [tree] if tree else []  # subtrees to write; None writes a D
+    while stack:
+        node = stack.pop()
+        if node is None:
+            letters.append("D")
+            continue
+        letters.append("U")
+        left, right = node
+        if right:
+            stack.append(right)
+        stack.append(None)
+        if left:
+            stack.append(left)
+    return "".join(letters)
 
 
 def _enclosed(word: str, opening: str) -> list[int]:

@@ -100,6 +100,38 @@ NON_INT_GARBAGE = {
     "matching": [((1.0, 2),), ((1, "2"),), ((1, 4), (2, 3.0))],
 }
 
+# values of the wrong shape and what validate says of them, per family
+# whose value is a sequence or a word
+WRONG_SHAPE_GARBAGE = {
+    **{
+        tag: [
+            (None, "expected a sequence of ints, got NoneType"),
+            (5, "expected a sequence of ints, got int"),
+            ({1}, "expected a sequence of ints, got set"),
+        ]
+        for tag in FAMILY_TAGS if tag.startswith("perm-")
+    },
+    "seq1": [
+        (None, "expected a sequence of ints, got NoneType"),
+        (5, "expected a sequence of ints, got int"),
+    ],
+    "seq2": [
+        (None, "expected a sequence of ints, got NoneType"),
+        (1.0, "expected a sequence of ints, got float"),
+    ],
+    "matching": [
+        (None, "expected a sequence of arches, got NoneType"),
+        (5, "expected a sequence of arches, got int"),
+        (((1, 2, 3), (4,)), "arch (1, 2, 3) at position 1 is not a pair of endpoints"),
+        ((1, 2), "arch 1 at position 1 is not a pair of endpoints"),
+        (((1, 4), [2, 3], (5,)), "arch (5,) at position 3 is not a pair of endpoints"),
+    ],
+    "dyck": [
+        (None, "expected a str of U and D letters, got NoneType"),
+        (["U", "D"], "expected a str of U and D letters, got list"),
+    ],
+}
+
 
 # ---------------------------------------------------------------- registry
 
@@ -346,6 +378,15 @@ def test_non_int_entries_are_named_by_validate_and_convert(tag):
     for bad in NON_INT_GARBAGE[tag]:
         message = family(tag).validate(bad)
         assert isinstance(message, str) and "is not an int" in message, bad
+        with pytest.raises(ValueError) as caught:
+            convert(bad, tag, "dyck")
+        assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("tag", sorted(WRONG_SHAPE_GARBAGE))
+def test_wrong_shapes_are_named_by_validate_and_convert(tag):
+    for bad, message in WRONG_SHAPE_GARBAGE[tag]:
+        assert family(tag).validate(bad) == message
         with pytest.raises(ValueError) as caught:
             convert(bad, tag, "dyck")
         assert str(caught.value) == message

@@ -7,6 +7,7 @@ tests never raise the limit.
 
 from __future__ import annotations
 
+import random
 import sys
 
 import pytest
@@ -21,15 +22,16 @@ from catpairs.encoders import (
     encode_staircase,
 )
 from catpairs.grammar import grammar_pair
+from conftest import random_tree
 from oracles import join_fold_pair
 from test_bijections import ANALYTIC
 
 DEPTH = 1100
 
 
-def chain(side: str) -> trees.Tree:
+def chain(side: str, n: int = DEPTH) -> trees.Tree:
     t = trees.EMPTY
-    for _ in range(DEPTH):
+    for _ in range(n):
         t = (t, trees.EMPTY) if side == "left" else (trees.EMPTY, t)
     return t
 
@@ -121,3 +123,28 @@ def test_cli_converts_a_deep_permutation(run_cli):
     code, out, err = run_cli(["convert", "--from", "perm-312", "--to", "perm-321", value])
     assert (code, err) == (0, "")
     assert out == " ".join(str(v) for v in [DEPTH, *range(1, DEPTH)]) + "\n"
+
+
+def fold_text(t: trees.Tree) -> str:
+    """``trees.serialize`` as the text join folded over the tree."""
+    return trees.fold(t, lambda left, right: "(" + left + "," + right + ")", "e")
+
+
+def test_dyck_writer_equals_the_dyck_fold():
+    for n in range(10):
+        for t in trees.all_trees(n):
+            assert trees.to_dyck_word(t) == trees.fold(t, trees._dyck, ""), t
+    for n in (1000, 4000):
+        for side in ("left", "right"):
+            t = chain(side, n)
+            assert trees.to_dyck_word(t) == trees.fold(t, trees._dyck, ""), (side, n)
+
+
+def test_serialize_equals_the_text_fold():
+    rng = random.Random("serialize")
+    for n in (0, 1, 2, 10, 100, 1000, 32000):
+        cases = {"random": random_tree(rng, n)}
+        if n >= 1000:
+            cases.update(left=chain("left", n), right=chain("right", n))
+        for shape, t in cases.items():
+            assert trees.serialize(t) == fold_text(t), (shape, n)
