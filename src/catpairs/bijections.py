@@ -34,7 +34,7 @@ from .encoders import (
     read_plane_tree,
     read_seq1,
 )
-from .errors import InvariantViolation, SizeLimitError, require
+from .errors import InvariantViolation, SizeLimitError
 from .grammar import _left_sizes_pair, pair_to_tree, tree_to_pair
 from .relations import CatalanPair, canonicalize
 
@@ -134,11 +134,15 @@ def assemble_staircase(t: trees.Tree) -> structures.Staircase:
 class Family:
     """One Catalan structure family's full codec suite.
 
-    ``assemble`` turns a decomposition tree into a value; families
-    without one decode through the reference table instead.  ``read``,
-    where a family has one, runs the family's value check and returns the
-    preorder left sizes of the value's tree, so that ``encode`` is
+    ``parse`` only scans text into a value (ParseError if it does not
+    scan).  ``validate`` is the family's one value check: ``encode`` and
+    ``read`` run it first (ValueError with its message), so a parsed value
+    is checked once, where it is encoded or converted.  ``read``, where a
+    family has one, returns the preorder left sizes of the checked value's
+    tree, so that ``encode`` is
     ``grammar._left_sizes_pair(read(value), inorder=False)``.
+    ``assemble`` turns a decomposition tree into a value; families without
+    one decode through the reference table instead.
     """
 
     tag: str
@@ -152,11 +156,6 @@ class Family:
 
 
 def _perm_family(pattern: str) -> Family:
-    def parse(text: str) -> structures.Permutation:
-        p = structures.parse_perm(text)
-        require(structures.validate_avoidance(p, pattern))
-        return p
-
     def validate(p: object) -> str | None:
         return structures.validate_perm(p) or structures.validate_avoidance(p, pattern)
 
@@ -165,7 +164,7 @@ def _perm_family(pattern: str) -> Family:
 
     return Family(
         tag=f"perm-{pattern}",
-        parse=parse,
+        parse=structures.parse_perm,
         serialize=structures.serialize_perm,
         validate=validate,
         enumerate=lambda n: structures.enumerate_perm(n, pattern),

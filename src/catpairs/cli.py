@@ -140,8 +140,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     witnesses = dict(report.violations)
     for axiom, label in _AXIOM_LINES:
         if axiom in witnesses:
-            shown = tuple(i + 1 for i in witnesses[axiom])
-            print(f"{label}: FAIL at {shown}")
+            print(f"{label}: FAIL at {_one_based(witnesses[axiom])}")
         else:
             print(f"{label}: PASS")
     print("valid" if report.valid else "invalid")
@@ -187,8 +186,19 @@ def cmd_count(args: argparse.Namespace) -> int:
 
 def cmd_decompose(args: argparse.Namespace) -> int:
     pair = parse_pair(_read_file(args))
-    print(trees.serialize(pair_to_tree(pair)))
+    try:
+        tree = pair_to_tree(pair)
+    except InvariantViolation as exc:  # the check's own witness, relabelled
+        raise InvariantViolation(
+            f"decompose: axiom ({exc.axiom}) fails at {_one_based(exc.witness)}"
+        ) from None
+    print(trees.serialize(tree))
     return 0
+
+
+def _one_based(witness: tuple[int, ...]) -> tuple[int, ...]:
+    """A witness in the pair file's 1-based labels."""
+    return tuple(i + 1 for i in witness)
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -90,22 +90,21 @@ def _read_serialized(tokens: list[str]) -> CatalanPair | None:
     # a repeated line sets no new bit
     if sum(map(int.bit_count, S)) + sum(map(int.bit_count, R)) != len(names):
         return None
-    try:
-        return CatalanPair(Relation(n, tuple(S)), Relation(n, tuple(R)))
-    except ValueError:  # Relation refuses the bit of a diagonal line
+    # the labels lie in 1..n, so only a diagonal line can break a row
+    if any((s | r) >> i & 1 for i, (s, r) in enumerate(zip(S, R))):
         return None
+    return CatalanPair(Relation._unchecked(n, S), Relation._unchecked(n, R))
 
 
 def _parse_lines(text: str) -> CatalanPair:
-    """Line by line, naming the first bad line."""
-    n: int | None = None
-    pairs: dict[str, list[tuple[int, int]]] = {"S": [], "R": []}
-    seen: set[tuple[str, int, int]] = set()
+    """Line by line, naming the first bad line; each line sets its bit in
+    the rows, so a bit that is already set names a duplicate."""
+    rows: dict[str, list[int]] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         tokens = raw.split()
         if not tokens:
             continue
-        if n is None:
+        if rows is None:
             if len(tokens) != 2 or tokens[0] != "n" or not tokens[1].isdecimal():
                 raise ParseError(f"line {lineno}: expected header 'n <size>'")
             (n,) = _read_ints(tokens[1:], f"line {lineno}: the size")
@@ -113,6 +112,7 @@ def _parse_lines(text: str) -> CatalanPair:
                 raise ParseError(
                     f"line {lineno}: size {n} exceeds the limit of {_MAX_SIZE}"
                 )
+            rows = {"S": [0] * n, "R": [0] * n}
             continue
         if len(tokens) != 3 or tokens[0] not in ("S", "R"):
             raise ParseError(
@@ -127,11 +127,11 @@ def _parse_lines(text: str) -> CatalanPair:
             )
         if i == j:
             raise ValueError(f"line {lineno}: diagonal pair ({i}, {j})")
-        key = (tokens[0], i, j)
-        if key in seen:
-            raise ParseError(f"line {lineno}: duplicate pair {key}")
-        seen.add(key)
-        pairs[tokens[0]].append((i - 1, j - 1))
-    if n is None:
+        row, bit = rows[tokens[0]], 1 << (j - 1)
+        if row[i - 1] & bit:
+            raise ParseError(f"line {lineno}: duplicate pair {(tokens[0], i, j)}")
+        row[i - 1] |= bit
+    if rows is None:
         raise ParseError("empty input: missing 'n <size>' header")
-    return CatalanPair.from_pairs(n, pairs["S"], pairs["R"])
+    S, R = rows["S"], rows["R"]
+    return CatalanPair(Relation._unchecked(n, S), Relation._unchecked(n, R))

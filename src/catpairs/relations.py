@@ -1,7 +1,6 @@
 """Strict order pairs on {0, ..., n-1} and their composition calculus.
 
-The central object is a pair (S, R) of binary relations subject to four
-axioms:
+A pair (S, R) of binary relations is valid when it satisfies four axioms:
 
   (i)   S and R are strict orders (irreflexive and transitive);
   (ii)  any two distinct labels i, j are related somehow: at least one of
@@ -9,52 +8,32 @@ axioms:
   (iii) at most one of those four holds (so with (ii): exactly one);
   (iv)  x S y and y R z together force x R z.
 
-Valid pairs of every size compose and decompose like binary trees, which
-is what the rest of the package exploits.
+Valid pairs of every size compose and decompose like binary trees.
 
-Relations are stored as bitset rows: bit j of ``rows[i]`` is set iff the
-pair (i, j) belongs to the relation.  ``Relation(n, rows)`` and
-``Relation.from_pairs`` check that every row lies in 0..n-1 off the
-diagonal.  The package's own builders make such rows by construction and
-skip the check: :func:`_tree_rows` behind every tree-shaped encoder, the
-inversion pairs, :func:`_join`, ``restrict`` and ``relabel``.
+A relation is stored as bitset rows: bit j of ``rows[i]`` is set iff
+(i, j) belongs to it.  Rows are checked where they enter:
+``Relation(n, rows)`` and ``Relation.from_pairs`` refuse a bit outside
+0..n-1 or on the diagonal, while the package's builders (the tree
+builder :func:`_tree_rows`, the inversion pairs, :func:`_join`,
+``restrict``, ``relabel`` and the pair-file readers) make such rows by
+construction and skip that check.
 
-Cost model: the pair of a tree is built from its preorder left sizes
-in one loop of O(n) big-int row operations (:func:`_tree_rows`).
-Deciding whether a pair is valid (``check_axioms``, ``total_order``)
-takes O(n) row operations when the labels are already canonical (every
-S row points only to smaller labels and every R row only to larger
-ones), as on every preorder-encoded value and every factor of a
-canonical pair: the same loop rebuilds the pair from R's popcounts and
-stops at the first row that differs.  ``canonicalize`` returns such a
-pair as it is, and a caller that built the pair from left sizes with
-preorder labels needs no ``canonicalize`` at all.  Any other labelling
-adds a read of S's columns (:func:`_transpose`) and one pass that places
-each label in preorder (:func:`_preorder`).
-From 24 labels up, unless S is sparse, S is packed into one N x N bit
-square (N the next power of two >= n) and transposed by O(log n)
-operations in C over all of its bits; otherwise the read is one pass
-over S's set bits.  ``canonicalize`` relabels such a pair with one pass
-over the set bits of both relations.  A check's memory follows the
-input: an invalid pair is rejected before any mask larger than its own
-rows is built, and the square is built only when it holds at most 64
-bits per set bit.  Only an invalid pair pays for naming its witnesses:
-O(n) row operations, a read of S's and of R's columns, a transitivity
-test of each relation (one OR per set bit) and one pass over the set
-bits of S.
-``decompose_pair`` is one check plus O(n) row operations to find and
-cut its two blocks.  ``Relation.restrict`` takes O(k) row operations
-when its k labels form one contiguous run, as both blocks of a
-canonical pair do; a scattered label set, as on a relabelled pair,
-walks the kept bits of the kept rows.
+Costs, in big-int row operations (labels are canonical when every S row
+points only to smaller labels and every R row only to larger ones, as
+on every pair built from preorder left sizes):
 
-Every pass over set bits goes through :func:`bits`.  It walks a dense
-row in C, at a cost per binary digit, and a sparse row in Python, at a
-cost per set bit.  On a valid pair R holds n(n-1)/2 - |S| of the n(n-1)
-possible bits, so R's rows are dense.  The loop body of a pass still
-runs in Python for each bit, except in the transitivity witness,
-``relabel`` and a scattered ``restrict``, which fold what they walk with
-``map`` in C; a column read through the bit square walks no bits.
+- ``check_axioms``, ``total_order``, ``canonicalize``: O(n) on canonical
+  labels; any other labelling adds a read of S's columns, and
+  ``canonicalize`` then relabels with one pass over the set bits.  Only
+  an invalid pair names its witnesses, adding a read of both relations'
+  columns and passes over their set bits.  Memory follows the input, not
+  the declared size.
+- ``decompose_pair``: one check, then O(n).
+- ``Relation.restrict``: O(k) for a run of k labels, else one pass over
+  the kept bits.
+- ``Relation.cols``: one pass over the set bits, or O(log n) whole-matrix
+  steps in C for a dense relation from 24 labels up.
+- ``transitivity_witness``: one OR per set bit.
 """
 
 from __future__ import annotations
@@ -67,7 +46,7 @@ from operator import or_
 from typing import Iterable
 
 from . import trees
-from .errors import InvariantViolation
+from .errors import InvariantViolation, _non_int, require
 
 # binary digits "0"/"1" as the selector bytes 0/1
 _DIGIT_BITS = bytes.maketrans(b"01", b"\0\1")
@@ -159,12 +138,14 @@ class Relation:
         O(k) row operations when the k labels are one run lo..hi, else one
         pass over the set bits that their rows keep.  A range of step 1,
         as ``decompose_pair`` passes for a run, is used as it is; any
-        other labels are sorted and deduplicated.  A label outside 0..n-1
-        raises ValueError.
+        other labels are sorted and deduplicated.  A label that is not an
+        int, or lies outside 0..n-1, raises ValueError naming it.
         """
         if type(labels) is range and labels.step == 1:
             kept = labels
         else:
+            labels = list(labels)
+            require(_non_int(labels, "label"))
             kept = sorted(set(labels))
         k = len(kept)
         if not k:
@@ -301,15 +282,9 @@ class AxiomReport:
 
 
 def check_axioms(S: Relation, R: Relation) -> AxiomReport:
-    """Check the four axioms; report one witness per failing axiom.
-
-    A valid pair costs O(n) row operations, plus a read of S's columns
-    unless its labels are canonical (see :func:`_derived_order`).  Only
-    an invalid pair goes on to name its witnesses, in O(n) row operations,
-    a read of S's and of R's columns, a transitivity test of each
-    relation (:func:`transitivity_witness`) and one pass over the set
-    bits of S.
-    """
+    """Check the four axioms; report one witness per failing axiom.  The
+    check is :func:`_derived_order`; only an invalid pair goes on to name
+    its witnesses (:func:`_witnesses`)."""
     if S.n != R.n:
         raise ValueError("S and R must live on the same label set")
     if _derived_order(S, R) is not None:
@@ -409,7 +384,9 @@ def _require_valid(pair: CatalanPair, context: str) -> None:
 
 def _first_violation(context: str, violations: tuple) -> InvariantViolation:
     axiom, witness = violations[0]
-    return InvariantViolation(f"{context}: axiom ({axiom}) fails at {witness}")
+    return InvariantViolation(
+        f"{context}: axiom ({axiom}) fails at {witness}", axiom, witness
+    )
 
 
 def compose_pair(left: CatalanPair, right: CatalanPair) -> CatalanPair:
@@ -452,17 +429,13 @@ def decompose_pair(pair: CatalanPair) -> tuple[int, CatalanPair, CatalanPair]:
     raises ValueError and an invalid one InvariantViolation.
 
     This is the checked entry point: it runs the axiom check on *pair*.
-    The factors are induced subpairs of a valid pair, and the axioms are
-    statements about pairs and triples of labels, so they hold on every
-    induced subpair; callers that go on decomposing the factors need not
-    check them again (see ``grammar.pair_to_tree``).
-
-    After the check the split costs O(n) row operations.  The labels
-    with an empty S row are the tree's right spine, and each one's R row
-    is its own right subtree, so x is the one with the most R-successors;
-    the right block is x's R row and the left block is everything else.
-    A block that is one run, as both are on a canonical pair, is cut as a
-    range, with no label listed or sorted.
+    The axioms hold on every induced subpair of a valid pair, so callers
+    that go on decomposing the factors need not check them again (see
+    ``grammar.pair_to_tree``).  The labels with an empty S row are the
+    tree's right spine, and each one's R row is its own right subtree, so
+    x is the one with the most R-successors; the right block is x's R row
+    and the left block is everything else, each cut as a range when it is
+    one run, as on a canonical pair.
     """
     if pair.n == 0:
         raise ValueError("cannot decompose an empty pair")
@@ -500,8 +473,7 @@ def total_order(pair: CatalanPair) -> tuple[int, ...]:
     """Labels sorted by the order L with i L j iff i R j or j S i.
 
     For a valid pair L is always a strict total order.  The order is
-    derived and the pair validated together, in O(n) row operations plus,
-    unless the labels are canonical, a read of S's columns; an
+    derived and the pair validated together (:func:`_derived_order`); an
     invalid pair raises InvariantViolation with its first axiom witness.
     """
     order = _derived_order(pair.S, pair.R)
@@ -691,13 +663,12 @@ class CanonicalPair:
 def canonicalize(pair: CatalanPair) -> CanonicalPair:
     """Relabel a valid pair so its derived total order becomes 0 < ... < n-1.
 
-    The one check is the ``total_order`` call, which validates *pair* and
-    raises InvariantViolation if it fails.  A pair whose order is already
-    the identity is returned as it is, in O(n) row operations; any other
-    is relabelled by its own derived order, one pass over the set bits of
-    both relations.  Either way the result is canonical by construction
-    and skips the ``CanonicalPair`` check; a direct ``CanonicalPair(...)``
-    call still runs it in full.
+    The one check is the ``total_order`` call, which raises
+    InvariantViolation on an invalid pair.  A pair whose order is already
+    the identity is returned as it is; any other is relabelled by its own
+    derived order.  Either way the result is canonical by construction
+    and skips the ``CanonicalPair`` check that a direct
+    ``CanonicalPair(...)`` call runs.
     """
     order = total_order(pair)
     if order == tuple(range(pair.n)):

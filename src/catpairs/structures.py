@@ -3,8 +3,11 @@
 Each family gets the same four verbs: ``validate_*`` (value -> error
 message or None), ``parse_*`` (text -> value), ``serialize_*`` (value ->
 text) and ``enumerate_*`` (size -> all values, sorted by text form).
-Parsing raises ParseError for text that does not scan and ValueError for
-text that scans but names an impossible structure.
+Parsing only scans: it raises ParseError for text that does not scan and
+returns whatever value the text spells, valid or not.  The validator is
+the one value check, and every encoder runs it first, so a parsed value
+is checked once, where it is encoded or converted, and refused there
+with a ValueError carrying the validator's message.
 
 Representations:
 
@@ -25,23 +28,10 @@ from __future__ import annotations
 from collections.abc import Sequence as _Sequence
 from functools import lru_cache
 from math import inf
-from typing import Callable, Iterable
+from typing import Iterable
 
 from . import trees
-from .errors import ParseError, _read_ints, require
-
-
-def _non_int(entries: object, noun: str) -> str | None:
-    """A message naming the type of *entries* if it is not a sequence
-    (such as a tuple, list, str or range), or the first of them that is
-    not an ``int`` (floats and bools included), else None; the types are
-    read in C."""
-    if not isinstance(entries, _Sequence):
-        return f"expected a sequence of ints, got {type(entries).__name__}"
-    if set(map(type, entries)) <= {int}:
-        return None
-    pos, bad = next((pos, v) for pos, v in enumerate(entries, 1) if type(v) is not int)
-    return f"{noun} {bad!r} at position {pos} is not an int"
+from .errors import ParseError, _non_int, _read_ints
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +60,6 @@ def parse_dyck(text: str) -> str:
     word = text.strip()
     if any(letter not in "UD" for letter in word):
         raise ParseError("a Dyck word may only contain the letters U and D")
-    require(validate_dyck(word))
     return word
 
 
@@ -150,9 +139,7 @@ def parse_matching(text: str) -> Matching:
             raise ParseError(f"token {token!r} is not of the form <l>-<r>")
         ends += (left, right)
     values = _read_ints(ends, "an endpoint")
-    value = tuple(sorted(zip(values[::2], values[1::2])))
-    require(validate_matching(value))
-    return value
+    return tuple(sorted(zip(values[::2], values[1::2])))
 
 
 def serialize_matching(m: Matching) -> str:
@@ -250,20 +237,17 @@ def validate_perm(p: Permutation) -> str | None:
     return None
 
 
-def _parse_decimals(text: str, noun: str, validate: Callable) -> tuple[int, ...]:
-    """The whitespace-separated decimal entries of *text*, checked by
-    *validate*; ParseError naming *noun* (a permutation, a sequence) for
-    any other token."""
+def _parse_decimals(text: str, noun: str) -> tuple[int, ...]:
+    """The whitespace-separated decimal entries of *text*; ParseError
+    naming *noun* (a permutation, a sequence) for any other token."""
     tokens = text.split()
     if not all(token.isdecimal() for token in tokens):
         raise ParseError(f"{noun} is a list of positive integers")
-    value = _read_ints(tokens, f"{noun} entry")
-    require(validate(value))
-    return value
+    return _read_ints(tokens, f"{noun} entry")
 
 
 def parse_perm(text: str) -> Permutation:
-    return _parse_decimals(text, "a permutation", validate_perm)
+    return _parse_decimals(text, "a permutation")
 
 
 def serialize_perm(p: Permutation) -> str:
@@ -462,7 +446,7 @@ def validate_seq1(s: Sequence) -> str | None:
 
 
 def parse_seq1(text: str) -> Sequence:
-    return _parse_decimals(text, "a sequence", validate_seq1)
+    return _parse_decimals(text, "a sequence")
 
 
 def serialize_seq(s: Sequence) -> str:
@@ -499,7 +483,7 @@ def validate_seq2(s: Sequence) -> str | None:
 
 
 def parse_seq2(text: str) -> Sequence:
-    return _parse_decimals(text, "a sequence", validate_seq2)
+    return _parse_decimals(text, "a sequence")
 
 
 def seq2_fixed_point(s: Sequence) -> int:

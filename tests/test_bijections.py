@@ -27,14 +27,8 @@ from catpairs import (
     pair_to_tree,
     reference_decode,
 )
-from catpairs import structures, trees
-from catpairs.bijections import (
-    _decode_table,
-    assemble_matching,
-    assemble_perm_312,
-    assemble_plane_tree,
-    assemble_seq1,
-)
+from catpairs import grammar, structures, trees
+from catpairs.bijections import _decode_table, assemble_perm_312
 from catpairs.encoders import encode_perm_312
 from catpairs.grammar import tree_to_pair
 from catpairs.structures import enumerate_seq2, seq2_fixed_point
@@ -162,10 +156,13 @@ def test_family_validate_flags_garbage():
 
 
 def test_avoidance_family_parse_enforces_membership():
+    # parse scans any permutation; the class check runs in encode and convert
+    assert family("perm-312").parse("3 1 2") == (3, 1, 2)
     with pytest.raises(ValueError, match="pattern 312"):
-        family("perm-312").parse("3 1 2")
+        family("perm-312").encode(family("perm-312").parse("3 1 2"))
+    assert family("perm-123").parse("1 2 3") == (1, 2, 3)
     with pytest.raises(ValueError, match="pattern 123"):
-        family("perm-123").parse("1 2 3")
+        convert(family("perm-123").parse("1 2 3"), "perm-123", "dyck")
 
 
 # ------------------------------------------------------------ pair decoding
@@ -187,21 +184,47 @@ def chain(n: int, side: int) -> trees.Tree:
     return t
 
 
+def _join_fold_case(tag, join, leaf, serialize, finish=None):
+    """(assemble, join, leaf, finish, serialize) for one family's writer:
+    the oracle is *finish* of the *join* fold with *leaf*."""
+    return pytest.param(
+        family(tag).assemble, join, leaf, finish or (lambda value: value), serialize,
+        id=tag,
+    )
+
+
+def _perm_case(pattern):
+    return _join_fold_case(
+        f"perm-{pattern}",
+        structures._perm_312_join,
+        (),
+        structures.serialize_perm,
+        lambda p: structures.perm_from_312(p, pattern),
+    )
+
+
 @pytest.mark.parametrize(
-    "assemble, join, serialize",
+    "assemble, join, leaf, finish, serialize",
     [
-        (assemble_matching, structures._matching_join, structures.serialize_matching),
-        (assemble_perm_312, structures._perm_312_join, structures.serialize_perm),
-        (assemble_seq1, structures._seq1_join, structures.serialize_seq),
-        (
-            assemble_plane_tree,
-            structures._plane_tree_join,
-            structures.serialize_plane_tree,
+        _join_fold_case("matching", structures._matching_join, (), structures.serialize_matching),
+        _join_fold_case("perm-312", structures._perm_312_join, (), structures.serialize_perm),
+        _join_fold_case("seq1", structures._seq1_join, (), structures.serialize_seq),
+        _join_fold_case(
+            "plane-tree", structures._plane_tree_join, (), structures.serialize_plane_tree
         ),
+        _join_fold_case("dyck", trees._dyck, "", structures.serialize_dyck),
+        _join_fold_case("binary-tree", lambda l, r: (l, r), trees.EMPTY, trees.serialize),
+        _join_fold_case(
+            "staircase", structures.swap_parts, trees.EMPTY, structures.serialize_staircase
+        ),
+        _join_fold_case(
+            "polyomino", trees._dyck, "", grammar.serialize_polyomino,
+            grammar._word_to_polyomino,
+        ),
+        *[_perm_case(pattern) for pattern in ("321", "231", "213", "132", "123")],
     ],
-    ids=["matching", "perm-312", "seq1", "plane-tree"],
 )
-def test_one_pass_assemblers_equal_the_join_fold(assemble, join, serialize):
+def test_one_pass_assemblers_equal_the_join_fold(assemble, join, leaf, finish, serialize):
     # the oracle folds the join that the enumerators grow every value with;
     # every tree with n <= 9, random trees and chains, compared by text
     rng = random.Random(16)
@@ -209,7 +232,7 @@ def test_one_pass_assemblers_equal_the_join_fold(assemble, join, serialize):
     shapes += [random_tree(rng, n) for n in (16, 64, 256, 1024) for _ in range(5)]
     shapes += [chain(n, side) for n in (100, 4000) for side in (0, 1)]
     for t in shapes:
-        assert serialize(assemble(t)) == serialize(trees.fold(t, join, ()))
+        assert serialize(assemble(t)) == serialize(finish(trees.fold(t, join, leaf)))
 
 
 def test_a_trees_312_avoider_carries_the_trees_own_pair():

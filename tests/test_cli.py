@@ -16,9 +16,10 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from catpairs import enumerate_pairs, serialize_pair
+from catpairs import convert, enumerate_pairs, grammar, relations, serialize_pair, structures
 from catpairs.bijections import ALIASES, FAMILIES, family
 from catpairs.cli import main
+from conftest import GOLDEN_DIR
 
 
 # ------------------------------------------------------------------ verify
@@ -221,6 +222,22 @@ def test_decompose_rejects_broken_pairs(run_cli):
     code, _, err = run_cli(["decompose", "--stdin"], stdin="n 2\n")
     assert code == 2
     assert "axiom" in err
+
+
+@pytest.mark.parametrize(
+    "text, witness",
+    [((GOLDEN_DIR / "invalid.pair").read_text(), "(1, 3)"), ("n 2\n", "(1, 2)")],
+    ids=["invalid.pair", "n 2"],
+)
+def test_decompose_names_the_witness_in_the_files_labels(run_cli, monkeypatch, text, witness):
+    # the labels verify prints, from the one check decompose ran
+    calls = count_calls(monkeypatch, relations.check_axioms)
+    code, out, err = run_cli(["decompose", "--stdin"], stdin=text)
+    assert (code, out) == (2, "")
+    assert err == f"error: decompose: axiom (ii) fails at {witness}\n"
+    assert len(calls) == 1
+    _, out, _ = run_cli(["verify", "--stdin"], stdin=text)
+    assert f"(ii) completeness: FAIL at {witness}\n" in out
 
 
 @pytest.mark.parametrize("command", ["verify", "decompose"])
@@ -511,3 +528,60 @@ def test_no_command_is_a_usage_error(run_cli):
 def test_unknown_command_is_a_usage_error(run_cli):
     code, _, _ = run_cli(["frobnicate"])
     assert code == 1
+
+
+# ------------------------------------------------------ one check per value
+
+def count_calls(monkeypatch, fn) -> list:
+    """Rebind every catpairs module name that refers to *fn* to a wrapper
+    that records each call's arguments; returns the record."""
+    calls: list = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "catpairs" or name.startswith("catpairs."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+FAMILY_CHECKS = {
+    "dyck": [structures.validate_dyck],
+    "matching": [structures.validate_matching],
+    "plane-tree": [structures.validate_plane_tree],
+    **{
+        f"perm-{pattern}": [structures.validate_perm, structures.avoids]
+        for pattern in structures.PATTERNS
+    },
+    "seq1": [structures.validate_seq1],
+    "seq2": [structures.validate_seq2],
+    "staircase": [structures.validate_staircase],
+    "binary-tree": [grammar.validate_grammar_tree],
+    "polyomino": [grammar.validate_polyomino],
+}
+
+
+@pytest.mark.parametrize("tag", list(FAMILIES))
+def test_a_value_meets_its_family_check_once(run_cli, monkeypatch, tag):
+    # parse only scans, so encode and convert run the family check once,
+    # as the library's convert does
+    assert set(FAMILY_CHECKS) == set(FAMILIES)
+    fam = family(tag)
+    value = fam.enumerate(4)[5]
+    text = fam.serialize(value)
+    checks = [count_calls(monkeypatch, fn) for fn in FAMILY_CHECKS[tag]]
+    for argv in (
+        ["encode", "--family", tag, text],
+        ["convert", "--from", tag, "--to", "dyck", text],
+    ):
+        code, _, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert [len(calls) for calls in checks] == [1] * len(checks), argv
+        for calls in checks:
+            calls.clear()
+    convert(value, tag, "dyck")
+    assert [len(calls) for calls in checks] == [1] * len(checks)

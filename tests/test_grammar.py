@@ -229,8 +229,9 @@ def test_polyomino_text_round_trip():
     assert parse_polyomino(";") == EMPTY_POLYOMINO
     with pytest.raises(ValueError):
         parse_polyomino("NE EN")
-    with pytest.raises(ValueError):
-        parse_polyomino("EN;NE")
+    assert parse_polyomino("EN;NE") == ("EN", "NE")
+    with pytest.raises(ValueError, match="^paths touch after 1 steps, before the endpoint$"):
+        encode_polyomino(parse_polyomino("EN;NE"))
 
 
 def test_polyomino_size_is_semiperimeter_minus_one():

@@ -80,6 +80,22 @@ def test_serialized_text_never_takes_the_line_loop(monkeypatch):
     assert parse_pair(serialize_pair(pair)) == pair
 
 
+def test_both_readers_wrap_their_rows_unchecked(monkeypatch):
+    # a pair file is checked where its lines are read, so neither the bulk
+    # reader nor the line loop builds a checked Relation
+    pairs = [relabelled_random_pair(random.Random(14), n) for n in (0, 1, 5, 40)]
+    texts = [serialize_pair(pair) for pair in pairs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("rows checked again")
+
+    monkeypatch.setattr(Relation, "__post_init__", refuse)
+    monkeypatch.setattr(Relation, "from_pairs", classmethod(refuse))
+    for pair, text in zip(pairs, texts):
+        assert parse_pair(text) == pair
+        assert parse_pair(text.replace("\n", "\n\n")) == pair
+
+
 def test_serialized_text_reads_each_distinct_label_once(monkeypatch):
     # cost guard: int() reads the header and each distinct label once, not
     # both labels of every line, and the line loop never runs

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import re
 from itertools import combinations, permutations
 
 import pytest
@@ -139,6 +140,18 @@ def test_relabel_agrees_with_plain_relabel(n):
 def test_restrict_rejects_labels_out_of_range(labels, bad):
     with pytest.raises(ValueError, match=f"^label {bad} out of range for size 3$"):
         Relation(3, (0, 0, 0)).restrict(labels)
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0.0, 1.0], "label 0.0 at position 1 is not an int"),
+    (["0"], "label '0' at position 1 is not an int"),
+    ([0, 2, 1.5], "label 1.5 at position 3 is not an int"),
+    (iter([1, "2", 0.0]), "label '2' at position 2 is not an int"),
+    ([True, 0], "label True at position 1 is not an int"),
+])
+def test_restrict_names_labels_that_are_not_ints(labels, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Relation(3, (6, 4, 0)).restrict(labels)
 
 
 @pytest.mark.parametrize("image", [[0, 1, 2.0], [2.0, 1, 0]])

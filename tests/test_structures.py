@@ -7,7 +7,7 @@ from itertools import combinations, permutations, product
 
 import pytest
 
-from catpairs import ParseError, catalan, trees
+from catpairs import ParseError, catalan, family, trees
 from catpairs.bijections import assemble_perm_312
 from catpairs.structures import (
     PATTERNS,
@@ -130,8 +130,10 @@ def test_validate_dyck():
 
 def test_parse_dyck_round_trip_and_errors():
     assert parse_dyck(" UUDD \n") == "UUDD"
-    with pytest.raises(ValueError):
-        parse_dyck("DU")
+    # parse only scans; the value check runs where the value is encoded
+    assert parse_dyck("DU") == "DU"
+    with pytest.raises(ValueError, match="^prefix ending at position 1 has more D than U$"):
+        family("dyck").encode(parse_dyck("DU"))
 
 
 def test_enumerate_dyck_small_values():
@@ -224,8 +226,9 @@ def test_matching_text_round_trip():
     assert serialize_matching(((1, 4), (2, 3), (5, 6))) == "1-4 2-3 5-6"
     with pytest.raises(ParseError):
         parse_matching("1:4")
-    with pytest.raises(ValueError):
-        parse_matching("1-3 2-4")
+    assert parse_matching("1-3 2-4") == ((1, 3), (2, 4))
+    with pytest.raises(ValueError, match="^arches 1-3 and 2-4 cross$"):
+        family("matching").encode(parse_matching("1-3 2-4"))
 
 
 def test_dyck_matching_translation_inverts():
@@ -298,8 +301,9 @@ def test_perm_text_round_trip():
     assert serialize_perm((2, 1, 3)) == "2 1 3"
     with pytest.raises(ParseError):
         parse_perm("2 x 3")
-    with pytest.raises(ValueError):
-        parse_perm("2 2 3")
+    assert parse_perm("2 2 3") == (2, 2, 3)
+    with pytest.raises(ValueError, match=r"^values must be a rearrangement of 1\.\.3$"):
+        family("perm-312").encode(parse_perm("2 2 3"))
 
 
 def test_avoids_agrees_with_brute_force_containment():
@@ -455,8 +459,9 @@ def test_seq1_text_round_trip():
     assert serialize_seq((5, 2, 4, 4, 5, 6)) == "5 2 4 4 5 6"
     with pytest.raises(ParseError):
         parse_seq1("5 -2")
-    with pytest.raises(ValueError):
-        parse_seq1("1 1")
+    assert parse_seq1("1 1") == (1, 1)
+    with pytest.raises(ValueError, match=r"^a_2 = 1 must lie in 2\.\.2$"):
+        family("seq1").encode(parse_seq1("1 1"))
 
 
 def test_enumerate_seq1_matches_filter():
@@ -495,8 +500,9 @@ def test_seq2_fixed_point_and_offsets():
 
 def test_seq2_text_round_trip():
     assert parse_seq2("2 2") == (2, 2)
-    with pytest.raises(ValueError):
-        parse_seq2("2 3")
+    assert parse_seq2("2 3") == (2, 3)
+    with pytest.raises(ValueError, match=r"^a_2 = 3 must lie in 1\.\.2$"):
+        family("seq2").encode(parse_seq2("2 3"))
 
 
 def test_enumerate_seq2_matches_filter():

@@ -257,9 +257,12 @@ def test_restrict_agrees_with_reference_on_runs_and_scattered_labels():
                 range(lo, hi + 1),
                 rng.sample(range(n), rng.randrange(n + 1)),
                 [lo, hi] * 2,
+                range(hi, lo - 1, -1),
             ]
         for labels in label_sets:
-            assert rel.restrict(labels) == reference_restrict(rel, labels)
+            expected = reference_restrict(rel, labels)
+            assert rel.restrict(labels) == expected
+            assert rel.restrict(iter(labels)) == rel.restrict(set(labels)) == expected
 
 
 def canonical_pair(left_sizes: list[int]) -> CatalanPair:
