@@ -2,16 +2,16 @@
 
 Conversion reaches the source value's canonical pair, then decodes it
 into the target family.  A family with a ``read`` (dyck, matching,
-plane-tree, seq1) checks the value and reads its preorder left sizes,
-and the pair built from them is canonical as it stands; every other
-source is encoded and canonicalized.  Decoding assembles a value
-analytically from the pair's decomposition tree, as the family's join
-rule folded over it would; matchings, permutations and seq1 are written
-in O(n) from the tree's preorder left sizes, and Dyck words and plane
-trees in one preorder walk.  The one family without a known inverse,
-the second sequence family, looks the canonical pair up instead, in a
-memoized table built from its own enumerator and capped at
-``DEFAULT_TABLE_CAP``.
+plane-tree, seq1, binary-tree) checks the value and reads its preorder
+left sizes, and the pair built from them with preorder labels is
+canonical as it stands; every other source is encoded and
+canonicalized.  Decoding assembles a value analytically from the pair's
+decomposition tree, as the family's join rule folded over it would;
+matchings, permutations and seq1 are written in O(n) from the tree's
+preorder left sizes, and Dyck words and plane trees in one preorder
+walk.  The one family without a known inverse, the second sequence
+family, looks the canonical pair up instead, in a memoized table built
+from its own enumerator and capped at ``DEFAULT_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -140,7 +140,8 @@ class Family:
     is checked once, where it is encoded or converted.  ``read``, where a
     family has one, returns the preorder left sizes of the checked value's
     tree, so that ``encode`` is
-    ``grammar._left_sizes_pair(read(value), inorder=False)``.
+    ``grammar._left_sizes_pair(read(value), inorder=False)``; binary-tree
+    keeps inorder labels, ``_left_sizes_pair(read(value), inorder=True)``.
     ``assemble`` turns a decomposition tree into a value; families without
     one decode through the reference table instead.
     """
@@ -247,6 +248,7 @@ def _families() -> dict[str, Family]:
             trees.all_trees,
             grammar.grammar_pair,
             lambda t: t,
+            grammar.read_binary_tree,
         ),
         Family(
             "polyomino",

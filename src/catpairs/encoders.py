@@ -8,8 +8,10 @@ one pass, and builds the pair from those sizes (``grammar._left_sizes_pair``)
 with preorder labels (arches by left endpoint, plane-tree nodes, sequence
 positions) or inorder labels (staircases; binary trees and polyominoes
 in ``grammar``).  The four preorder families keep the check and the
-reading in one ``read_*`` function, which ``bijections.convert`` calls
-directly: the pair built from its sizes is already canonical.  Each
+reading in one ``read_*`` function, and so do binary trees
+(``grammar.read_binary_tree``, whose encoder keeps inorder labels).
+``bijections.convert`` calls these five readers directly: the pair built
+from their sizes with preorder labels is already canonical.  Each
 docstring states what S and R mean for its family.
 
 The second sequence family splits at its fixed point, and each side

@@ -9,7 +9,8 @@ left-subtree sizes (``trees.left_sizes``): ``pair_to_tree`` reads them
 off a valid pair's bitsets, and :func:`_left_sizes_pair` builds a pair
 from them top down.  That builder is also every tree-shaped family's
 encoder (see ``encoders``), and ``bijections.convert`` builds the
-canonical pair of a preorder family's value with it.
+canonical pair of a value that a family's ``read`` (here
+:func:`read_binary_tree`) has checked and read with it.
 
 Parallelogram polyominoes (two non-touching lattice paths over N/E with
 shared endpoints) join the tree world through their Dyck word: the upper
@@ -90,11 +91,17 @@ def validate_grammar_tree(t: object) -> str | None:
     return None
 
 
-def grammar_pair(t: trees.Tree) -> CatalanPair:
-    """:func:`tree_to_pair` of a binary tree checked by
+def read_binary_tree(t: trees.Tree) -> list[int]:
+    """The preorder left sizes of a binary tree checked by
     :func:`validate_grammar_tree`; ValueError if the check fails."""
     require(validate_grammar_tree(t))
-    return tree_to_pair(t)
+    return trees.left_sizes(t)
+
+
+def grammar_pair(t: trees.Tree) -> CatalanPair:
+    """:func:`tree_to_pair` of a binary tree, labels in inorder; the tree
+    is checked once, by :func:`read_binary_tree`."""
+    return _left_sizes_pair(read_binary_tree(t), inorder=True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
-"""Plain-text exchange format for order pairs.
+r"""Plain-text exchange format for order pairs.
 
 A pair file starts with a header line ``n <size>`` followed by one line
 per related pair, ``S <i> <j>`` or ``R <i> <j>``, with 1-based labels.
 Lines are sorted lexicographically within each relation, S before R, and
-blank lines are ignored on input.  Example::
+blank lines are ignored on input.  A line ends at ``\n``, ``\r\n`` or
+``\r``, the universal newlines that ``open()`` and ``sys.stdin``
+translate; any other character that ``str.splitlines`` breaks at (such as
+``\x0b``, ``\x0c`` or ``\x85``) stays inside its line as spacing, so a
+message's line number counts these line ends only.  Example::
 
     n 2
     S 1 2
@@ -19,8 +23,9 @@ order) in bulk: one regex scan, one split, one ``int()`` per distinct
 label, then one dict lookup and one row operation per line.  Any other
 text, including every text with an error, goes through a line loop that
 names the first bad line; only that loop accepts blank lines, other
-spacing, other line ends or non-ASCII decimal labels.  A number too long
-for ``int()`` (see ``sys.get_int_max_str_digits``) is a ParseError too.
+spacing, ``\r\n`` or ``\r`` line ends or non-ASCII decimal labels.  A
+number too long for ``int()`` (see ``sys.get_int_max_str_digits``) is a
+ParseError too.
 """
 
 from __future__ import annotations
@@ -34,6 +39,9 @@ from .relations import CatalanPair, Relation, bits
 # lists of n rows before any line is read.
 _MAX_SIZE = 1 << 20
 _MAX_DIGITS = len(str(_MAX_SIZE))
+
+# The line ends of the line loop: the universal newlines.
+_LINE_END = re.compile(r"\r\n?|\n")
 
 # The text serialize_pair writes: ASCII labels without leading zeros, one
 # space between tokens, every line ending in "\n".
@@ -100,7 +108,7 @@ def _parse_lines(text: str) -> CatalanPair:
     """Line by line, naming the first bad line; each line sets its bit in
     the rows, so a bit that is already set names a duplicate."""
     rows: dict[str, list[int]] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
         tokens = raw.split()
         if not tokens:
             continue

@@ -257,6 +257,24 @@ def test_non_decimal_labels_are_unparsable(run_cli, command):
 
 
 @pytest.mark.parametrize("command", ["verify", "decompose"])
+@pytest.mark.parametrize(
+    "stdin, code, err",
+    [
+        ("n 2\n\x0cS 1 1\n", 2, "error: line 2: diagonal pair (1, 1)\n"),
+        (
+            "n 2\nS 1 2\x0bR 1 2\n",
+            1,
+            "error: line 2: expected 'S <i> <j>' or 'R <i> <j>'\n",
+        ),
+    ],
+    ids=["form-feed", "vertical-tab"],
+)
+def test_only_universal_newlines_end_a_pair_file_line(run_cli, command, stdin, code, err):
+    # str.splitlines breaks at \x0c and \x0b too; a pair file reads them as spacing
+    assert run_cli([command, "--stdin"], stdin=stdin) == (code, "", err)
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
 def test_header_size_above_the_limit_is_unusable_input(run_cli, command):
     code, out, err = run_cli([command, "--stdin"], stdin="n 1048577\n")
     assert code == 1

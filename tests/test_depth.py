@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from catpairs import family, pair_to_tree, tree_to_pair, trees
+from catpairs import convert, family, pair_to_tree, tree_to_pair, trees
 from catpairs.encoders import (
     encode_dyck,
     encode_matching,
@@ -116,6 +116,19 @@ def test_seq2_encoder_returns_on_deep_trees(deep):
     none = (0,) * DEPTH
     expected = (later, none) if side == "left" else (none, later)
     assert (pair.S.rows, pair.R.rows) == expected
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_binary_tree_source_converts_a_long_chain_as_dyck_does(side):
+    # the read route builds the canonical pair in O(n) row operations; a
+    # per-bit relabel into it, O(n^2), would take minutes at this size
+    t = chain(side, 32000)
+    word = trees.to_dyck_word(t)
+    for dst in ("dyck", "perm-312"):
+        fdst = family(dst)
+        assert fdst.serialize(convert(t, "binary-tree", dst)) == fdst.serialize(
+            convert(word, "dyck", dst)
+        ), dst
 
 
 def test_cli_converts_a_deep_permutation(run_cli):

@@ -306,6 +306,42 @@ def test_parse_error_messages_carry_line_numbers():
         parse_pair("n 3\nS 1 9\n")
 
 
+# str.splitlines also breaks at the last eight; a pair file reads them
+# as spacing inside a line
+SPACING = " \t\x1f\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+BAD_LINES = {
+    "diagonal": ("S{0}1{0}1", ValueError, "diagonal pair (1, 1)"),
+    "two records": ("S 1 3{0}R 1 3", ParseError, "expected 'S <i> <j>' or 'R <i> <j>'"),
+}
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+def test_crlf_and_cr_line_ends_parse(end):
+    text = "n 3\nS 2 1\nR 1 3\nR 2 3\n"
+    assert parse_pair(text.replace("\n", end)) == parse_pair(text)
+    assert parse_pair(text.replace("\n", end).rstrip(end)) == parse_pair(text)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.text(alphabet=SPACING, min_size=1, max_size=3), max_size=6),
+    st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=9, max_size=9),
+    st.text(alphabet=SPACING, min_size=1, max_size=2),
+    st.sampled_from(sorted(BAD_LINES)),
+)
+def test_a_message_line_counts_the_line_ends_before_it(blanks, ends, space, kind):
+    # no line is empty, so two line ends never meet to read as one "\r\n"
+    form, error, message = BAD_LINES[kind]
+    lines = ["n 3", "S 2 1", *blanks, form.format(space)]
+    text = "".join(line + end for line, end in zip(lines, ends))
+    with pytest.raises(error) as caught:
+        parse_pair(text)
+    before = text[: text.rindex(form.format(space))]
+    line_ends = before.count("\n") + before.count("\r") - before.count("\r\n")
+    assert line_ends == len(lines) - 1
+    assert str(caught.value) == f"line {line_ends + 1}: {message}"
+
+
 @pytest.mark.parametrize(
     "text, line",
     [

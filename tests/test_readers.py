@@ -1,5 +1,8 @@
-"""The read route of ``convert``: dyck, matching, plane-tree and seq1 read
-a value's preorder left sizes and build its canonical pair directly.
+"""The read route of ``convert``: dyck, matching, plane-tree, seq1 and
+binary-tree read a value's preorder left sizes and build its canonical
+pair directly.  The first four encode with the same preorder labels;
+binary-tree encodes with inorder labels, so its encoder's pair is the
+canonical pair relabelled.
 
 Each test compares that route with the encode-then-canonicalize route it
 replaces, which every other source still takes: the pairs must be equal,
@@ -27,7 +30,7 @@ from catpairs import (
 from catpairs.grammar import _left_sizes_pair, tree_to_pair
 from conftest import random_tree
 
-READ_TAGS = ("dyck", "matching", "plane-tree", "seq1")
+READ_TAGS = ("dyck", "matching", "plane-tree", "seq1", "binary-tree")
 
 
 def old_route_pair(fam, value):
@@ -52,17 +55,39 @@ def large_trees():
         yield f"right chain {n}", chain("right", n)
 
 
-def test_exactly_the_preorder_families_read():
+def test_exactly_the_five_read_families_read():
     assert tuple(tag for tag, fam in FAMILIES.items() if fam.read) == READ_TAGS
 
 
 @pytest.mark.parametrize("tag", READ_TAGS)
-def test_read_pair_is_the_canonical_pair_on_every_small_value(tag):
+def test_encode_builds_from_read_in_the_family_labels(tag):
+    fam = family(tag)
+    inorder = tag == "binary-tree"
+    for n in range(7):
+        for value in fam.enumerate(n):
+            assert fam.encode(value) == _left_sizes_pair(fam.read(value), inorder), value
+
+
+@pytest.mark.parametrize("value", ["((e,e),e)", ((), ((),)), ((), (), ()), None])
+def test_binary_tree_read_keeps_the_value_message(value):
+    with pytest.raises(ValueError) as caught:
+        convert(value, "binary-tree", "dyck")
+    assert str(caught.value) == (
+        "expected nested (left, right) tuples with () for the empty tree"
+    )
+
+
+@pytest.mark.parametrize("tag", READ_TAGS)
+def test_read_pair_is_the_canonical_pair_on_every_small_value(tag, monkeypatch):
+    # the pair that convert hands the decoder: a relabelled pair would
+    # decode to the same value, so the outputs alone cannot show it
+    decoded = []
+    monkeypatch.setattr(bijections, "decode_pair", lambda pair, dst: decoded.append(pair))
     fam = family(tag)
     for n in range(9):
         for value in fam.enumerate(n):
-            pair = _left_sizes_pair(fam.read(value), inorder=False)
-            assert pair == old_route_pair(fam, value), value
+            convert(value, tag, "dyck")
+            assert decoded.pop() == old_route_pair(fam, value), value
 
 
 @pytest.mark.parametrize("tag", READ_TAGS)
