@@ -2,9 +2,9 @@
 
 Conversion reaches the source value's canonical pair, then decodes it
 into the target family.  A family with a ``read`` (dyck, matching,
-plane-tree, seq1, binary-tree) checks the value and reads its preorder
-left sizes, and the pair built from them with preorder labels is
-canonical as it stands; every other source is encoded and
+plane-tree, seq1, binary-tree, polyomino) checks the value and reads its
+preorder left sizes, and the pair built from them with preorder labels
+is canonical as it stands; every other source is encoded and
 canonicalized.  Decoding assembles a value analytically from the pair's
 decomposition tree, as the family's join rule folded over it would;
 matchings, permutations and seq1 are written in O(n) from the tree's
@@ -141,7 +141,8 @@ class Family:
     family has one, returns the preorder left sizes of the checked value's
     tree, so that ``encode`` is
     ``grammar._left_sizes_pair(read(value), inorder=False)``; binary-tree
-    keeps inorder labels, ``_left_sizes_pair(read(value), inorder=True)``.
+    and polyomino keep inorder labels,
+    ``_left_sizes_pair(read(value), inorder=True)``.
     ``assemble`` turns a decomposition tree into a value; families without
     one decode through the reference table instead.
     """
@@ -258,6 +259,7 @@ def _families() -> dict[str, Family]:
             grammar.enumerate_polyomino,
             grammar.encode_polyomino,
             grammar.tree_to_polyomino,
+            grammar.read_polyomino,
         ),
     ]
     return {entry.tag: entry for entry in entries}
@@ -327,7 +329,8 @@ def convert(value: object, src: str, dst: str) -> object:
     The source family's ``read``, or else its encoder, checks *value* and
     raises ValueError with its ``validate`` message.  The pair built from
     ``read``'s preorder left sizes is canonical by construction, so it
-    skips ``canonicalize`` and meets its one pair check in the decoder;
+    skips ``canonicalize`` and meets its one pair check in the decoder,
+    also for binary-tree and polyomino, whose encoders label in inorder;
     any other source's pair is checked by ``canonicalize`` as well.
     """
     fsrc = family(src)

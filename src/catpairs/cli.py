@@ -2,11 +2,11 @@
 
 Exit codes: 0 success; 1 for unusable input (bad flags, unparsable or
 non-UTF-8 text, pair files above the size limit, numbers with more digits
-than int() reads, sizes beyond the decode-table cap) or a failed memory
-allocation, or an output pipe closed by its reader (nothing is printed
-then); 2 for well-formed input that fails validation (broken axioms,
-invalid structure values).  All output is deterministic, newline-terminated
-text.
+than int() reads, sizes beyond the decode-table cap, a closed stdin) or a
+failed memory allocation, or an output pipe closed by its reader or a
+stdout closed from the start (nothing is printed then); 2 for well-formed
+input that fails validation (broken axioms, invalid structure values).
+All output is deterministic, newline-terminated text.
 """
 
 from __future__ import annotations
@@ -114,7 +114,10 @@ def _add_value_input(sub: argparse.ArgumentParser) -> None:
 def _read_stdin() -> str:
     """All of stdin, decoded as strictly as a file: under surrogateescape
     ``sys.stdin`` lets bytes that are not UTF-8 through, so its text is
-    encoded back and decoded again, raising UnicodeDecodeError on them."""
+    encoded back and decoded again, raising UnicodeDecodeError on them.
+    ``sys.stdin`` is None when the process started with fd 0 closed."""
+    if sys.stdin is None:
+        raise OSError("stdin is closed")
     return sys.stdin.read().encode("utf-8", "surrogateescape").decode("utf-8")
 
 
@@ -150,7 +153,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_encode(args: argparse.Namespace) -> int:
     fam = family(args.family)
     value = fam.parse(_read_value(args))
-    sys.stdout.write(serialize_pair(fam.encode(value)))
+    print(serialize_pair(fam.encode(value)), end="")
     return 0
 
 
@@ -209,6 +212,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         code = args.func(args)
+        if sys.stdout is None:  # fd 1 was closed at start, and print wrote nothing
+            return 1
         sys.stdout.flush()  # so that a closed pipe is met here at the latest
         return code
     except BrokenPipeError:

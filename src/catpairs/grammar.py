@@ -10,7 +10,8 @@ off a valid pair's bitsets, and :func:`_left_sizes_pair` builds a pair
 from them top down.  That builder is also every tree-shaped family's
 encoder (see ``encoders``), and ``bijections.convert`` builds the
 canonical pair of a value that a family's ``read`` (here
-:func:`read_binary_tree`) has checked and read with it.
+:func:`read_binary_tree` and :func:`read_polyomino`) has checked and
+read with it.
 
 Parallelogram polyominoes (two non-touching lattice paths over N/E with
 shared endpoints) join the tree world through their Dyck word: the upper
@@ -151,9 +152,10 @@ def serialize_polyomino(value: Polyomino) -> str:
     return f"{value[0]};{value[1]}"
 
 
-def _polyomino_left_sizes(value: Polyomino) -> list[int]:
-    """The left sizes of a polyomino's Dyck word, read off its two paths
-    after the one ``validate_polyomino`` check.
+def read_polyomino(value: Polyomino) -> list[int]:
+    """The preorder left sizes of a polyomino's Dyck word, read off its
+    two paths after the one ``validate_polyomino`` check (ValueError if
+    it fails).
 
     Upper path: the E steps before the last cut the N steps into the runs
     of U steps, and each of them is the U that opens the next run.  Lower
@@ -171,7 +173,7 @@ def _polyomino_left_sizes(value: Polyomino) -> list[int]:
 
 def polyomino_to_tree(value: Polyomino) -> trees.Tree:
     """The first-return tree of the polyomino's Dyck word."""
-    return trees.from_left_sizes(_polyomino_left_sizes(value))
+    return trees.from_left_sizes(read_polyomino(value))
 
 
 def tree_to_polyomino(t: trees.Tree) -> Polyomino:
@@ -198,5 +200,5 @@ def enumerate_polyomino(n: int) -> tuple[Polyomino, ...]:
 def encode_polyomino(value: Polyomino) -> CatalanPair:
     """The pair of the polyomino's first-return tree, labels in inorder,
     built straight from its Dyck word's left sizes; the value is checked
-    once, by :func:`_polyomino_left_sizes`."""
-    return _left_sizes_pair(_polyomino_left_sizes(value), inorder=True)
+    once, by :func:`read_polyomino`."""
+    return _left_sizes_pair(read_polyomino(value), inorder=True)

@@ -85,6 +85,7 @@ class Relation:
     def __post_init__(self) -> None:
         # any row container is kept as the tuple that builders store
         object.__setattr__(self, "rows", tuple(self.rows))
+        require(_non_int((self.n,), "size") or _non_int(self.rows, "row"))
         if self.n < 0:
             raise ValueError("size must be nonnegative")
         if len(self.rows) != self.n:

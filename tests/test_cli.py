@@ -344,6 +344,34 @@ def test_a_closed_output_pipe_ends_quietly():
     assert (code, err) == (1, b"")
 
 
+def run_with_closed_fd(fd, argv):
+    """The CLI's exit code and stderr with *fd* closed before it starts."""
+    done = subprocess.run(
+        CLI_PROCESS + argv, preexec_fn=lambda: os.close(fd), stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=PROCESS_ENV, timeout=60,
+    )
+    return done.returncode, done.stderr
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "--stdin"], ["encode", "--family", "dyck", "--stdin"]]
+)
+def test_a_closed_stdin_is_unusable_input(argv):
+    assert run_with_closed_fd(0, argv) == (1, b"error: stdin is closed\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["enumerate", "--family", "dyck", "-n", "2"],
+        ["encode", "--family", "dyck", "UD"],
+        ["convert", "--from", "dyck", "--to", "seq1", "UD"],
+    ],
+)
+def test_a_closed_stdout_ends_quietly_as_a_closed_pipe_does(argv):
+    assert run_with_closed_fd(1, argv) == (1, b"")
+
+
 LIMIT = sys.get_int_max_str_digits()
 LONG = "9" * (LIMIT + 1)  # one digit more than int() reads
 

@@ -1,8 +1,8 @@
-"""The read route of ``convert``: dyck, matching, plane-tree, seq1 and
-binary-tree read a value's preorder left sizes and build its canonical
-pair directly.  The first four encode with the same preorder labels;
-binary-tree encodes with inorder labels, so its encoder's pair is the
-canonical pair relabelled.
+"""The read route of ``convert``: dyck, matching, plane-tree, seq1,
+binary-tree and polyomino read a value's preorder left sizes and build
+its canonical pair directly.  The first four encode with the same
+preorder labels; binary-tree and polyomino encode with inorder labels,
+so their encoders' pair is the canonical pair relabelled.
 
 Each test compares that route with the encode-then-canonicalize route it
 replaces, which every other source still takes: the pairs must be equal,
@@ -30,7 +30,7 @@ from catpairs import (
 from catpairs.grammar import _left_sizes_pair, tree_to_pair
 from conftest import random_tree
 
-READ_TAGS = ("dyck", "matching", "plane-tree", "seq1", "binary-tree")
+READ_TAGS = ("dyck", "matching", "plane-tree", "seq1", "binary-tree", "polyomino")
 
 
 def old_route_pair(fam, value):
@@ -55,14 +55,14 @@ def large_trees():
         yield f"right chain {n}", chain("right", n)
 
 
-def test_exactly_the_five_read_families_read():
+def test_exactly_the_six_read_families_read():
     assert tuple(tag for tag, fam in FAMILIES.items() if fam.read) == READ_TAGS
 
 
 @pytest.mark.parametrize("tag", READ_TAGS)
 def test_encode_builds_from_read_in_the_family_labels(tag):
     fam = family(tag)
-    inorder = tag == "binary-tree"
+    inorder = tag in ("binary-tree", "polyomino")
     for n in range(7):
         for value in fam.enumerate(n):
             assert fam.encode(value) == _left_sizes_pair(fam.read(value), inorder), value

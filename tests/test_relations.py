@@ -93,6 +93,23 @@ def test_relation_rows_given_as_a_list_equal_the_tuple():
     assert Relation(3, [6, 0, 0]).rows == (6, 0, 0)
 
 
+@pytest.mark.parametrize("n, rows, message", [
+    ("2", (0, 0), "size '2' at position 1 is not an int"),
+    (2.0, (0, 0), "size 2.0 at position 1 is not an int"),
+    (True, (0,), "size True at position 1 is not an int"),
+    (2, (0.5, 0), "row 0.5 at position 1 is not an int"),
+    (2, [0, "1"], "row '1' at position 2 is not an int"),
+    (1, (False,), "row False at position 1 is not an int"),
+])
+def test_relation_names_a_size_or_row_that_is_not_an_int(n, rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Relation(n, rows)
+
+
+def test_unchecked_relation_does_not_check_entry_types():
+    assert Relation._unchecked(2, (0.5, 0)).rows == (0.5, 0)
+
+
 def test_relation_rows_given_as_a_list_hash_like_the_tuple():
     assert hash(Relation(2, [2, 0])) == hash(Relation(2, (2, 0)))
 
