@@ -6,12 +6,12 @@ plane-tree, seq1, binary-tree, polyomino) checks the value and reads its
 preorder left sizes, and the pair built from them with preorder labels
 is canonical as it stands; every other source is encoded and
 canonicalized.  Decoding assembles a value analytically from the pair's
-decomposition tree, as the family's join rule folded over it would;
-matchings, permutations and seq1 are written in O(n) from the tree's
-preorder left sizes, and Dyck words and plane trees in one preorder
-walk.  The one family without a known inverse, the second sequence
-family, looks the canonical pair up instead, in a memoized table built
-from its own enumerator and capped at ``DEFAULT_TABLE_CAP``.
+decomposition tree, as the family's join rule folded over it would; the
+word-like families and seq1 are read off the tree's Dyck word in O(n),
+as the ``trees`` module docstring sets out.  The one family without a
+known inverse, the second sequence family, looks the canonical pair up
+instead, in a memoized table built from its own enumerator and capped
+at ``DEFAULT_TABLE_CAP``.
 """
 
 from __future__ import annotations
@@ -65,10 +65,13 @@ DEFAULT_TABLE_CAP = 12
 # Each gives the value that folding its family's join rule over the tree
 # gives, the rule its enumerator grows every value with, so that
 # encode(assemble(t)) is isomorphic to tree_to_pair(t); the left subtree is
-# the S-side block, the right the R-side block.  Matchings, 312-avoiders
-# and seq1 write the value in one pass over the preorder left sizes a_p
-# instead, and Dyck words and plane trees in one preorder walk, since
-# their joins copy a block at every node.
+# the S-side block, the right the R-side block.  Dyck words, matchings,
+# plane trees and 312-avoiders are letter maps of the tree's Dyck word,
+# and seq1 is read off its left sizes (see the ``trees`` module
+# docstring), since their joins copy a block at every node.
+
+# the Dyck word's letters as the text of a plane tree
+_PARENS = str.maketrans("UD", "()")
 
 
 def assemble_dyck(t: trees.Tree) -> str:
@@ -76,44 +79,40 @@ def assemble_dyck(t: trees.Tree) -> str:
 
 
 def assemble_matching(t: trees.Tree) -> structures.Matching:
-    """Node p's arch opens at s + 1 and closes at s + 2a_p + 2, where s is
-    the offset of its block: the k nodes before p in inorder closed
-    before p does, and the nodes p + 1 .. p + a_p of its left block
-    opened after it."""
-    sizes = trees.left_sizes(t)
-    arches: list = [()] * len(sizes)
-    for k, p in enumerate(trees._inorder(sizes)):
-        start = k + p - sizes[p]
-        arches[p] = (start + 1, start + 2 * sizes[p] + 2)
+    """The arches of the tree's Dyck word: each U, by position, paired
+    with the D that closes it, in the order the U steps open."""
+    arches: list = []
+    unclosed: list[int] = []  # indices in arches of the open U steps
+    for pos, letter in enumerate(trees.to_dyck_word(t), start=1):
+        if letter == "U":
+            unclosed.append(len(arches))
+            arches.append(pos)
+        else:
+            i = unclosed.pop()
+            arches[i] = (arches[i], pos)
     return tuple(arches)
 
 
 def assemble_plane_tree(t: trees.Tree) -> structures.PlaneTree:
-    """Each node opens a subtree holding its left block, and its right
-    block follows as that subtree's later siblings: the plane tree whose
-    text is the tree's Dyck word.  One preorder walk, which closes a
-    node's subtree where its left block ends."""
-    forests: list[list] = [[]]  # children read so far, per open node
-    stack: list = [t] if t else []  # subtrees to walk; None closes a node
-    while stack:
-        node = stack.pop()
-        if node is None:
-            child = tuple(forests.pop())
-            forests[-1].append(child)
-        else:
-            forests.append([])
-            left, right = node
-            if right:
-                stack.append(right)
-            stack.append(None)
-            if left:
-                stack.append(left)
-    return tuple(forests[0])
+    """The plane tree whose text is the tree's Dyck word, U as "(" and D
+    as ")": each node opens a subtree holding its left block, and its
+    right block follows as that subtree's later siblings."""
+    return structures._plane_tree_from_parens(trees.to_dyck_word(t).translate(_PARENS))
 
 
 def assemble_perm_312(t: trees.Tree) -> structures.Permutation:
-    """The inorder position of preorder node p holds the value p + 1."""
-    return tuple([p + 1 for p in trees._inorder(trees.left_sizes(t))])
+    """The number of each U step of the tree's Dyck word, in the order
+    its D step closes it."""
+    perm: list[int] = []
+    unclosed: list[int] = []  # numbers of the open U steps
+    opened = 0
+    for letter in trees.to_dyck_word(t):
+        if letter == "U":
+            opened += 1
+            unclosed.append(opened)
+        else:
+            perm.append(unclosed.pop())
+    return tuple(perm)
 
 
 def assemble_seq1(t: trees.Tree) -> structures.Sequence:

@@ -169,10 +169,10 @@ class Relation:
 
     def relabel(self, image: Iterable[int]) -> "Relation":
         """Rename label i to image[i]; *image* must be a permutation of
-        0..n-1, given as ints.  Each row's renamed bits are summed in C."""
+        0..n-1, given as ints (not bools, nor floats like 2.0), whose
+        types are read in C.  Each row's renamed bits are summed in C."""
         image = tuple(image)
-        # a label that only equals an int, like 2.0, makes the sum a non-int
-        if sorted(image) != list(range(self.n)) or type(sum(image)) is not int:
+        if _non_int(image, "label") or sorted(image) != list(range(self.n)):
             raise ValueError("relabelling must be a permutation of the labels")
         new_bit = [1 << new for new in image].__getitem__
         rows = [0] * self.n
@@ -694,9 +694,14 @@ def catalan(n: int) -> int:
 
 
 def enumerate_pairs(n: int) -> tuple[CanonicalPair, ...]:
-    """All canonical pairs of size *n*, one per binary tree, joined as in
-    ``tree_to_pair`` and sorted by their text serialization."""
+    """All canonical pairs of size *n*, one per binary tree, sorted by
+    their text serialization.  Each is built from its tree's preorder left
+    sizes, grown for every tree at once, with preorder labels, so it is
+    canonical as built."""
     from .pairfile import serialize_pair
 
-    pairs = [canonicalize(p) for p in trees.grow(n, _join, CatalanPair.empty(0))]
+    pairs = []
+    for sizes in trees.grow(n, lambda left, right: [len(left)] + left + right, []):
+        S, R = [Relation._unchecked(n, rows) for rows in _tree_rows(sizes, False)]
+        pairs.append(CanonicalPair._unchecked(CatalanPair(S, R)))
     return tuple(sorted(pairs, key=lambda canon: serialize_pair(canon.pair)))

@@ -192,7 +192,12 @@ def serialize_plane_tree(t: PlaneTree) -> str:
 
 
 def parse_plane_tree(text: str) -> PlaneTree:
-    s = text.strip()
+    return _plane_tree_from_parens(text.strip())
+
+
+def _plane_tree_from_parens(s: str) -> PlaneTree:
+    """The plane tree that the parenthesis text *s* spells, in one pass;
+    ParseError at the first letter that breaks it."""
     open_forests: list[list] = [[]]  # children read so far, per open "("
     for pos, letter in enumerate(s):
         if letter == "(":

@@ -9,8 +9,16 @@ A family built on these trees is one ``join(left, right)`` rule plus the
 value of the empty tree, which :func:`fold` and :func:`grow` apply
 without recursion.  A tree is also fixed by the sizes of its left
 subtrees in preorder (:func:`left_sizes`), the form that pairs are built
-from and read back into, and the form :func:`_enclosed` reads off any
-balanced word.
+from and read back into.
+
+A tree is written out once, as its Dyck word (:func:`to_dyck_word`: a
+node is U <left> D <right>), and what is derived from it is read off
+that word: its preorder left sizes, which :func:`_enclosed` reads off it
+as off any balanced word, and each word-like family's value, a letter
+map of it: the word itself, its arches (matchings), the word in
+parentheses (plane trees), its two paths (polyominoes), and its U steps
+in the order their D steps close them (312-avoiders).  :func:`serialize`
+writes the tree's own text form, not a value derived from it.
 """
 
 from __future__ import annotations
@@ -62,40 +70,10 @@ def grow(n: int, join: Callable, leaf: object) -> list:
 
 
 def left_sizes(tree: Tree) -> list[int]:
-    """The size of each node's left subtree, nodes in preorder; the list
-    fixes the tree (see :func:`from_left_sizes`).  One preorder walk: a
-    node's position, pushed under its left subtree, sets its size there."""
-    sizes: list[int] = []
-    stack: list = [tree] if tree else []  # subtrees to walk, and positions
-    while stack:
-        node = stack.pop()
-        if node.__class__ is int:
-            sizes[node] = len(sizes) - 1 - node
-            continue
-        left, right = node
-        if right:
-            stack.append(right)
-        if left:
-            stack.append(len(sizes))
-            stack.append(left)
-        sizes.append(0)
-    return sizes
-
-
-def _inorder(left_sizes: list[int]) -> list[int]:
-    """The preorder positions of the tree's nodes, in inorder.
-
-    Node p follows its left block, the positions p + 1 .. p + left_sizes[p].
-    The nodes still waiting for their left blocks nest, innermost last,
-    so the ones whose blocks end at p are on top when p has been read.
-    """
-    order: list[int] = []
-    waiting: list[int] = []
-    for p in range(len(left_sizes)):
-        waiting.append(p)
-        while waiting and waiting[-1] + left_sizes[waiting[-1]] == p:
-            order.append(waiting.pop())
-    return order
+    """The size of each node's left subtree, nodes in preorder, read off
+    the tree's Dyck word (see the module docstring); the list fixes the
+    tree (see :func:`from_left_sizes`)."""
+    return _enclosed(to_dyck_word(tree), "U")
 
 
 def subtree_sizes(left_sizes: list[int]) -> list[int] | None:

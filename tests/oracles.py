@@ -27,7 +27,9 @@ parser), ``reference_enumerate_seq2`` (a backtracking search),
 codec (``reference_polyomino_to_tree``, ``reference_tree_to_polyomino``:
 column heights, overlaps, tops and bottoms) are the independent routes
 that the package's one word reader, seq2's two-word rule and the
-polyomino letter maps replaced.
+polyomino letter maps replaced, and ``reference_enumerate_pairs`` (the
+``_join`` fold over every tree, canonicalized) is the route that
+``enumerate_pairs``' one builder replaced.
 """
 
 from __future__ import annotations
@@ -44,7 +46,9 @@ from catpairs.relations import (
     _join,
     _require_valid,
     bits,
+    canonicalize,
 )
+from catpairs.pairfile import serialize_pair
 from catpairs.grammar import EMPTY_POLYOMINO, Polyomino
 from catpairs.structures import (
     Matching,
@@ -622,6 +626,13 @@ def reference_canonicalize(pair: CatalanPair) -> CanonicalPair:
     return CanonicalPair._unchecked(
         CatalanPair(plain_relabel(pair.S, image), plain_relabel(pair.R, image))
     )
+
+
+def reference_enumerate_pairs(n: int) -> tuple[CanonicalPair, ...]:
+    """``enumerate_pairs`` joining every tree's pair with ``_join``,
+    canonicalizing each one and sorting them by their text."""
+    pairs = [canonicalize(p) for p in trees.grow(n, _join, CatalanPair.empty(0))]
+    return tuple(sorted(pairs, key=lambda canon: serialize_pair(canon.pair)))
 
 
 def reference_tree_rows(

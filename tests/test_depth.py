@@ -62,9 +62,13 @@ def test_tree_walks_return_on_deep_trees(deep):
     assert trees.to_dyck_word(t) == (
         "U" * DEPTH + "D" * DEPTH if side == "left" else "UD" * DEPTH
     )
+    assert trees.left_sizes(t) == (
+        list(range(DEPTH - 1, -1, -1)) if side == "left" else [0] * DEPTH
+    )
     text = trees.serialize(t)
     assert trees.serialize(trees.parse(text)) == text
     assert trees.serialize(trees.from_dyck_word(trees.to_dyck_word(t))) == text
+    assert trees.serialize(trees.from_left_sizes(trees.left_sizes(t))) == text
 
 
 def test_pair_folds_return_on_deep_trees(deep):

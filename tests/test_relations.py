@@ -29,7 +29,7 @@ from catpairs import (
 from catpairs import relations
 from catpairs.relations import bits
 from conftest import SEVEN_R, SEVEN_S
-from oracles import catalan_recurrence, plain_relabel
+from oracles import catalan_recurrence, plain_relabel, reference_enumerate_pairs
 
 CATALAN = (1, 1, 2, 5, 14, 42, 132, 429, 1430, 4862, 16796)
 
@@ -171,13 +171,16 @@ def test_restrict_names_labels_that_are_not_ints(labels, message):
         Relation(3, (6, 4, 0)).restrict(labels)
 
 
-@pytest.mark.parametrize("image", [[0, 1, 2.0], [2.0, 1, 0]])
+@pytest.mark.parametrize(
+    "image", [[0, 1, 2.0], [2.0, 1, 0], [2, True, False], [True, False]]
+)
 def test_relabel_rejects_images_that_are_not_ints(image):
-    # each image compares equal to a permutation of 0..2
+    # each image compares equal to a permutation of its labels
+    n = len(image)
     with pytest.raises(
         ValueError, match="^relabelling must be a permutation of the labels$"
     ):
-        Relation(3, (4, 0, 0)).relabel(image)
+        Relation.from_pairs(n, [(0, n - 1)]).relabel(image)
 
 
 def test_restrict_takes_a_run_without_sorting(monkeypatch):
@@ -385,6 +388,11 @@ def test_enumerate_pairs_sorted_and_distinct():
         texts = [serialize_pair(c.pair) for c in enumerate_pairs(n)]
         assert texts == sorted(texts)
         assert len(set(texts)) == len(texts)
+
+
+def test_enumerate_pairs_equals_the_canonicalized_join_fold():
+    for n in range(10):
+        assert enumerate_pairs(n) == reference_enumerate_pairs(n)
 
 
 def test_enumerate_pairs_size_two_classes():
